@@ -19,8 +19,7 @@ import time
 import tracemalloc
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.load_frontier import run_load_seed
-from repro.experiments.parallel import LoadJob
+from repro.experiments.load_frontier import LoadJob, run_load_seed
 
 NODE_COUNT = 20
 

@@ -16,8 +16,7 @@ import time
 import tracemalloc
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ScaleJob, run_scale_job
-from repro.experiments.scale import scale_parameters
+from repro.experiments.scale import ScaleJob, run_scale_seed, scale_parameters
 from repro.workloads.network_gen import ensure_network_snapshot
 
 #: Mid-size rung: big enough that quadratic funding or dict-backed pair
@@ -49,7 +48,7 @@ def _run_cell(tmp_path):
         snapshot_path=str(snapshot),
         config=CONFIG,
     )
-    return run_scale_job(job)
+    return run_scale_seed(job)
 
 
 def test_scale_cell_peak_memory_under_bound(tmp_path):

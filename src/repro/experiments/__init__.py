@@ -21,6 +21,10 @@ Each module corresponds to one experiment in DESIGN.md's index:
 * :mod:`repro.experiments.relay_comparison` — Ext-7: block propagation and
   per-block overhead under flood vs compact-block vs push relay, crossed
   with every overlay policy;
+* :mod:`repro.experiments.scale` — Ext-8: wall time, throughput and memory
+  along a network-size ladder up to 10k nodes;
+* :mod:`repro.experiments.load_frontier` — Ext-9: confirmation latency and
+  backlog against offered transaction load, with a fee market;
 * :mod:`repro.experiments.validation` — Val-1: simulator validation against
   published real-network propagation shapes.
 
@@ -39,9 +43,7 @@ ResultStore` under ``results/`` and can be reloaded and diffed
 ``collect_samples`` hook additionally persist their raw per-seed measurement
 series in the envelope's ``samples`` field, from which the analysis plane
 (:mod:`repro.analysis`, CLI ``repro report``) regenerates the paper's
-figures and percentile tables without re-simulation.  The old per-module
-entry points (``python -m repro.experiments.fig3`` ...) remain as
-deprecation shims.
+figures and percentile tables without re-simulation.
 
 Public entry points: :func:`~repro.experiments.api.run_experiment` (dispatch
 one experiment), the :func:`~repro.experiments.api.experiment` decorator

@@ -54,8 +54,7 @@ fingerprints.
 The verdicts ask the paper's future-work question directly — does proximity
 clustering widen or narrow each attack surface?
 
-Run via ``python -m repro.experiments run attacks [--attacks ...]``;
-``python -m repro.experiments.attacks`` remains as a deprecated shim.
+Run via ``python -m repro.experiments run attacks [--attacks ...]``.
 """
 
 from __future__ import annotations
@@ -66,24 +65,24 @@ from typing import Optional, Sequence
 
 import networkx as nx
 
-from repro.analysis.samples import SampleLog
+from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import (
-    AttackJob,
-    AttackJobResult,
-    EclipseJob,
-    EclipseJobResult,
-    PartitionJob,
-    PartitionJobResult,
-    run_attack_job,
-    run_eclipse_job,
-    run_partition_job,
-)
 from repro.experiments.reporting import ExperimentReport, format_table
-from repro.workloads.scenarios import AttackSpec, Scenario, validate_attack_kind
+from repro.protocol.adversary import SelfishMiner
+from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import (
+    AttackSpec,
+    ChurnSchedule,
+    Scenario,
+    build_scenario,
+    install_attack,
+    validate_attack_kind,
+)
 
 ATTACK_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 
@@ -242,11 +241,28 @@ def _pick_victim(scenario: Scenario) -> int:
     return min(by_region[region])
 
 
-def run_eclipse_seed(job: EclipseJob) -> EclipseJobResult:
-    """Measure one (protocol, seed) eclipse exposure — the parallel job body."""
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
+@dataclass(frozen=True)
+class EclipseJob:
+    """One (protocol, seed) eclipse-exposure measurement."""
 
+    protocol: str
+    seed: int
+    adversary_fraction: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class EclipseJobResult:
+    """Per-(protocol, seed) eclipse counters merged by the attacks driver."""
+
+    protocol: str
+    seed: int
+    victim_connection_count: int
+    adversarial_connection_count: int
+
+
+def run_eclipse_seed(job: EclipseJob) -> EclipseJobResult:
+    """Measure one (protocol, seed) eclipse exposure — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -294,7 +310,7 @@ def run_eclipse(
             config=cfg,
         )
 
-    grid = run_seed_grid(protocols, make_job, run_eclipse_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_eclipse_seed, cfg)
     return [
         EclipseResult(
             protocol=protocol,
@@ -308,11 +324,30 @@ def run_eclipse(
     ]
 
 
-def run_partition_seed(job: PartitionJob) -> PartitionJobResult:
-    """Measure one (protocol, seed) partition cost — the parallel job body."""
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
+@dataclass(frozen=True)
+class PartitionJob:
+    """One (protocol, seed) partition-cost measurement."""
 
+    protocol: str
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class PartitionJobResult:
+    """Per-(protocol, seed) partition counters merged by the attacks driver."""
+
+    protocol: str
+    seed: int
+    target_group_size: int
+    boundary_links: int
+    total_links: int
+    partition_achieved: bool
+    largest_component_fraction: float
+
+
+def run_partition_seed(job: PartitionJob) -> PartitionJobResult:
+    """Measure one (protocol, seed) partition cost — the process-pool entry point."""
     cfg = job.config
     scenario = build_scenario(
         job.protocol,
@@ -358,7 +393,7 @@ def run_partition(
     def make_job(protocol: str, seed: int) -> PartitionJob:
         return PartitionJob(protocol=protocol, seed=seed, config=cfg)
 
-    grid = run_seed_grid(protocols, make_job, run_partition_job, cfg)
+    grid = run_seed_grid(protocols, make_job, run_partition_seed, cfg)
     results: list[PartitionResult] = []
     for protocol, seed_results in grid:
         count = len(seed_results)
@@ -396,6 +431,62 @@ def _target_group(scenario: Scenario) -> set[int]:
 
 
 # -------------------------------------------------- dynamic adversary plane
+@dataclass(frozen=True)
+class AttackJob:
+    """One (attack, protocol, seed) dynamic-adversary campaign.
+
+    Attributes:
+        attack: attack kind (one of
+            :data:`repro.workloads.scenarios.ATTACK_KINDS`; ``"none"`` is the
+            honest baseline cell the degradation metrics divide by).
+        protocol: neighbour-selection policy under test.
+        seed: master seed for the cell's network, adversary and mining
+            streams.
+        spec: the full adversary composition (picklable).
+        blocks: blocks mined (and measured) in the campaign.
+        txs_per_block: fresh transactions injected before each block.
+        block_horizon_s: simulated seconds allowed per block to spread.
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        config: shared experiment configuration.
+    """
+
+    attack: str
+    protocol: str
+    seed: int
+    spec: AttackSpec
+    blocks: int
+    txs_per_block: int
+    block_horizon_s: float
+    threshold_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class AttackJobResult:
+    """Per-(attack, protocol, seed) dynamic outcomes merged by the driver.
+
+    Plain values only (tuples, never live distributions; ``None`` — not NaN,
+    which breaks ``==`` across a pickle round trip — for unmeasured revenue),
+    so the pooled payload compares field-by-field across worker counts.
+    """
+
+    attack: str
+    protocol: str
+    seed: int
+    block_delay_samples: tuple[float, ...]
+    blocks_measured: int
+    coverage: float
+    victim_coverage: float
+    byzantine_nodes: tuple[int, ...]
+    messages_suppressed: int
+    attacker_id: int
+    attacker_hashpower: float
+    blocks_withheld: int
+    blocks_released: int
+    races_started: int
+    revenue_share: Optional[float]
+
+
 def run_attack_seed(job: AttackJob) -> AttackJobResult:
     """Execute one (attack, protocol, seed) campaign — process-pool entry point.
 
@@ -404,14 +495,6 @@ def run_attack_seed(job: AttackJob) -> AttackJobResult:
     asked, then mines ``job.blocks`` blocks and measures how each publicly
     propagated block actually spreads through the corrupted network.
     """
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.analysis.samples import BlockArrivalRecorder
-    from repro.protocol.adversary import SelfishMiner
-    from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import ChurnSchedule, build_scenario, install_attack
-
     cfg = job.config
     spec = job.spec
     # Eclipse composes with membership churn: ordinary nodes cycle sessions
@@ -608,7 +691,7 @@ def run_dynamic_attacks(
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_attack_job, cfg)
+    grid = run_seed_grid(points, make_job, run_attack_seed, cfg)
 
     # Merge in submission order — identical aggregates for every worker count.
     results: dict[str, DynamicAttackResult] = {}
@@ -1050,12 +1133,3 @@ def run_attacks(
             selfish_hashpower=selfish_hashpower,
         ),
     )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run attacks``."""
-    return deprecated_main("attacks", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

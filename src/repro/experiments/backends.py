@@ -1,16 +1,17 @@
-"""Pluggable executor backends for the sweep execution plane.
+"""Executor backends for the sweep execution plane.
 
-The seed-grid executor (:func:`repro.experiments.grid.run_seed_grid`) used to
-fan cells straight into one hard-wired process pool.  This module splits the
-*what* (a deterministic list of independent (point × seed) cells) from the
-*how* (where and when each cell body runs) behind a small interface:
+This module splits the *what* of a sweep (a deterministic list of
+independent (point × seed) cells, built by
+:func:`repro.experiments.grid.run_seed_grid`) from the *how* (where and when
+each cell body runs).  The worker count alone picks the executor:
 
 :class:`InlineBackend`
     Executes cells in the calling process, in submission order — the
-    bit-exact serial path (``workers <= 1`` never touches multiprocessing).
+    bit-exact serial path (one effective worker never touches
+    multiprocessing).
 
 :class:`PoolBackend`
-    The process pool, upgraded in three ways over the old ``pool.map``:
+    The process pool, upgraded in three ways over a plain ``pool.map``:
 
     * **streaming ordered regroup** — cells are submitted in adaptive chunks
       and collected with ``as_completed``; results are emitted to the
@@ -29,18 +30,18 @@ fan cells straight into one hard-wired process pool.  This module splits the
       cell, bit-identically (the cached object is unpickled from the same
       bytes a cold load would read).
 
-Sharding is not a fourth executor: it is a *slice filter* applied by the
-:class:`ExecutionPlan` before whichever backend runs (``repro shard run
+Sharding is not a third executor: it is a *slice filter* applied by the
+:class:`ExecutionPlan` before either backend runs (``repro shard run
 --shard i/N`` executes the cells whose global submission index is congruent
 to ``i`` mod ``N``, and records every other cell as missing).  The same plan
 object also carries the checkpoint store, the resume behaviour and the cell
 budget, which is what lets every registered experiment inherit all of it
 through ``run_seed_grid`` without touching a single driver.
 
-Determinism: the backend choice, worker count, chunking, warm caches, shard
-slice and checkpoints never change what a cell computes — each cell derives
-all randomness from its own master seed — so any execution plan that
-eventually runs every cell yields byte-identical merged results.
+Determinism: the worker count, chunking, warm caches, shard slice and
+checkpoints never change what a cell computes — each cell derives all
+randomness from its own master seed — so any execution plan that eventually
+runs every cell yields byte-identical merged results.
 """
 
 from __future__ import annotations
@@ -61,17 +62,14 @@ from repro.experiments.config import ExperimentConfig
 JobT = TypeVar("JobT")
 ResultT = TypeVar("ResultT")
 
-#: Registered backend names, in the order `--backend` documents them.
-BACKEND_NAMES = ("auto", "inline", "pool")
-
 #: Target chunks per worker for the adaptive chunk size: small enough to
 #: keep workers load-balanced against stragglers, large enough to amortise
 #: dispatch on many-tiny-cell grids.
 CHUNKS_PER_WORKER = 4
 
 #: Per-worker warm snapshot cache size (distinct snapshots kept unpickled).
-#: Grids warm one snapshot per master seed, so the default covers the stock
-#: three-seed configuration; tune via ``REPRO_WARM_SNAPSHOTS`` (0 disables).
+#: Grids warm one snapshot per master seed, so this covers the stock
+#: three-seed configuration.
 DEFAULT_WARM_LIMIT = 4
 
 
@@ -106,40 +104,13 @@ def adaptive_chunksize(job_count: int, workers: int) -> int:
     return max(1, job_count // max(1, workers * CHUNKS_PER_WORKER))
 
 
-def warm_cache_limit() -> int:
-    """Warm-snapshot cache entries per worker (``REPRO_WARM_SNAPSHOTS``)."""
-    value = os.environ.get("REPRO_WARM_SNAPSHOTS")
-    if value is None or not value.strip():
-        return DEFAULT_WARM_LIMIT
-    return max(0, int(value))
-
-
 # ------------------------------------------------------------------ backends
-class ExecutorBackend:
-    """Executes a list of independent cell jobs, preserving submission order.
+class InlineBackend:
+    """The bit-exact serial path: cells run inline in the calling process.
 
-    Implementations must call ``on_result(index, result)`` in submission
-    order (0, 1, 2, ...) as results become available, and return the full
-    result list in submission order.  ``job_fn`` and job specs must satisfy
-    the usual picklability constraints for any backend that crosses a
-    process boundary.
+    Like :class:`PoolBackend`, it calls ``on_result(index, result)`` in
+    submission order (0, 1, 2, ...) and returns every result in that order.
     """
-
-    name = "abstract"
-
-    def run(
-        self,
-        job_fn: Callable[[JobT], ResultT],
-        jobs: Sequence[JobT],
-        on_result: Optional[Callable[[int, ResultT], None]] = None,
-    ) -> list[ResultT]:
-        raise NotImplementedError
-
-
-class InlineBackend(ExecutorBackend):
-    """The bit-exact serial path: cells run inline in the calling process."""
-
-    name = "inline"
 
     def run(
         self,
@@ -156,7 +127,7 @@ class InlineBackend(ExecutorBackend):
         return results
 
 
-class PoolBackend(ExecutorBackend):
+class PoolBackend:
     """Process-pool execution with warm workers and streaming regroup.
 
     Args:
@@ -166,24 +137,13 @@ class PoolBackend(ExecutorBackend):
             worker and run snapshot-backed cells in forked children (see the
             module docstring).  Requires ``os.fork``; silently disabled
             elsewhere.
-        chunksize: jobs per pool task; None picks
-            :func:`adaptive_chunksize`.
     """
 
-    name = "pool"
-
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        warm_snapshots: bool = True,
-        chunksize: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int = 0, *, warm_snapshots: bool = True) -> None:
         if workers < 0:
             raise ValueError("workers cannot be negative (0 means one per CPU)")
         self.workers = workers
         self.warm_snapshots = warm_snapshots
-        self.chunksize = chunksize
 
     def run(
         self,
@@ -202,9 +162,8 @@ class PoolBackend(ExecutorBackend):
             self.warm_snapshots
             and context.get_start_method() == "fork"
             and hasattr(os, "fork")
-            and warm_cache_limit() > 0
         )
-        chunksize = self.chunksize or adaptive_chunksize(len(jobs), workers)
+        chunksize = adaptive_chunksize(len(jobs), workers)
         chunks = [jobs[start : start + chunksize] for start in range(0, len(jobs), chunksize)]
         results: list[Any] = [None] * len(jobs)
         with ProcessPoolExecutor(
@@ -235,30 +194,13 @@ class PoolBackend(ExecutorBackend):
         return results
 
 
-def make_backend(
-    name: str,
-    workers: int,
-    *,
-    warm_snapshots: bool = True,
-    chunksize: Optional[int] = None,
-) -> ExecutorBackend:
-    """Build a backend by registered name (``auto`` picks by worker count)."""
-    if name == "auto":
-        name = "inline" if resolve_workers(workers, 2) <= 1 else "pool"
-    if name == "inline":
-        return InlineBackend()
-    if name == "pool":
-        return PoolBackend(workers, warm_snapshots=warm_snapshots, chunksize=chunksize)
-    raise ValueError(f"unknown backend {name!r}; known: {', '.join(BACKEND_NAMES)}")
-
-
 # ------------------------------------------------------ worker-side machinery
 def _init_worker(warm: bool) -> None:
     """Pool-worker initializer: configure the warm snapshot cache once."""
     if warm:
         from repro.workloads import network_gen
 
-        network_gen.configure_snapshot_cache(warm_cache_limit())
+        network_gen.configure_snapshot_cache(DEFAULT_WARM_LIMIT)
 
 
 def _run_chunk(job_fn: Callable[[Any], Any], chunk: list[Any], warm: bool) -> list[Any]:
@@ -386,9 +328,10 @@ class ExecutionPlan:
     of its knobs appear in cell keys or envelopes, because none of them can
     change a cell's result — only whether/where/when it runs.
 
+    The executor follows from the worker count alone: cells run inline when
+    the effective count is 1 and on a :class:`PoolBackend` otherwise.
+
     Attributes:
-        backend: ``"auto"`` (inline when the effective worker count is 1,
-            pool otherwise), ``"inline"`` or ``"pool"``.
         workers: overrides ``config.workers`` when set.
         store: checkpoint store; when set, completed cells are persisted
             immediately and previously completed cells are loaded instead of
@@ -402,23 +345,18 @@ class ExecutionPlan:
             time-boxed runs and the kill-and-resume tests.
         execute: when False, never run a cell body — every cell must come
             from the store (the strict ``repro shard merge`` mode).
-        warm_snapshots: enable the pool backend's warm-worker snapshot reuse.
-        chunksize: override the pool backend's adaptive chunk size.
         snapshot_dir: persistent directory drivers should build network
             snapshots under (defaults to each driver's own choice).
         experiment: registry name, set by ``run_experiment`` — the cell-key
             namespace.
     """
 
-    backend: str = "auto"
     workers: Optional[int] = None
     store: Optional[CellStore] = None
     shard_index: Optional[int] = None
     shard_count: Optional[int] = None
     max_cells: Optional[int] = None
     execute: bool = True
-    warm_snapshots: bool = True
-    chunksize: Optional[int] = None
     snapshot_dir: Optional[str] = None
     experiment: Optional[str] = None
 
@@ -430,10 +368,6 @@ class ExecutionPlan:
     _next_cell_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: {', '.join(BACKEND_NAMES)}"
-            )
         if (self.shard_index is None) != (self.shard_count is None):
             raise ValueError("shard_index and shard_count must be set together")
         if self.shard_count is not None:
@@ -471,16 +405,6 @@ class ExecutionPlan:
             return True
         return global_index % self.shard_count == self.shard_index
 
-    def resolve_backend(self, config: ExperimentConfig) -> ExecutorBackend:
-        """The executor this plan uses for one grid."""
-        workers = self.workers if self.workers is not None else config.workers
-        return make_backend(
-            self.backend,
-            workers,
-            warm_snapshots=self.warm_snapshots,
-            chunksize=self.chunksize,
-        )
-
     def run_cells(
         self,
         job_fn: Callable[[JobT], ResultT],
@@ -491,7 +415,8 @@ class ExecutionPlan:
 
         Cached cells are loaded from the store; cells outside the shard
         slice or beyond the budget become :data:`MISSING`; the rest run on
-        the resolved backend, with each completed result checkpointed the
+        a :class:`PoolBackend` sized by the worker count (inline at one
+        worker), with each completed result checkpointed the
         moment the streaming regroup emits it.
         """
         jobs = list(jobs)
@@ -521,7 +446,7 @@ class ExecutionPlan:
             pending = pending[:budget]
 
         if pending:
-            backend = self.resolve_backend(config)
+            workers = self.workers if self.workers is not None else config.workers
             store = self.store
 
             def on_result(emitted: int, result: Any) -> None:
@@ -531,7 +456,9 @@ class ExecutionPlan:
                 if store is not None and keys is not None:
                     store.save(keys[position], result)
 
-            backend.run(job_fn, [jobs[position] for position in pending], on_result)
+            PoolBackend(workers).run(
+                job_fn, [jobs[position] for position in pending], on_result
+            )
         return results
 
     def _record_missing(self, keys: Optional[list[str]], position: int) -> None:
@@ -557,7 +484,7 @@ def use_plan(plan: ExecutionPlan):
 
     ``run_experiment`` wraps each driver call in this, which is how every
     ``run_seed_grid`` call inside the driver — however deeply nested —
-    inherits the backend, checkpoint store and shard slice without any
+    inherits the worker count, checkpoint store and shard slice without any
     driver-signature changes.
     """
     token = _ACTIVE_PLAN.set(plan)

@@ -17,16 +17,13 @@ scenario's :class:`~repro.workloads.scenarios.ChurnSchedule`, and reports
   bridge links created).
 
 (protocol, level, seed) campaigns are independent simulations; they fan out
-over :class:`~repro.experiments.parallel.ParallelRunner` and merge in
-submission order, so aggregates are identical for every worker count.
+over the shared seed-grid executor and merge in submission order, so
+aggregates are identical for every worker count.
 
 Run from the command line::
 
     PYTHONPATH=src python -m repro.experiments run churn_resilience \
         --nodes 120 --runs 4 --seeds 3 11 --levels static heavy --workers 0
-
-(``python -m repro.experiments.churn_resilience`` remains as a deprecated
-shim.)
 """
 
 from __future__ import annotations
@@ -36,18 +33,16 @@ from typing import Mapping, Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import (
-    ChurnJobResult,
-    ChurnResilienceJob,
-    run_churn_resilience_job,
-)
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import select_measuring_nodes
 from repro.measurement.measuring_node import MeasuringNode
 from repro.measurement.stats import DelayDistribution
-from repro.workloads.scenarios import ChurnSchedule
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import ChurnSchedule, build_scenario
 
 #: Protocols compared by the churn-resilience experiment.
 CHURN_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
@@ -166,14 +161,51 @@ def resolve_levels(
 
 
 # ----------------------------------------------------------------- job body
+@dataclass(frozen=True)
+class ChurnResilienceJob:
+    """One (protocol, churn level, seed) dynamic-membership campaign.
+
+    Attributes:
+        protocol: policy under test (one of ``POLICY_NAMES``).
+        level: human-readable churn-intensity label (``"static"``, ...).
+        schedule: the churn schedule for this level, or None for a static
+            (no-churn) control.
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        seed: master seed for the job's network and simulator.
+        config: shared experiment configuration.
+    """
+
+    protocol: str
+    level: str
+    schedule: Optional[ChurnSchedule]
+    threshold_s: float
+    seed: int
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class ChurnJobResult:
+    """Everything the churn-resilience merge reads from one campaign."""
+
+    protocol: str
+    level: str
+    seed: int
+    delay_samples: tuple[float, ...]
+    coverages: tuple[float, ...]
+    timed_out_receptions: int
+    failed_runs: int
+    join_events: int
+    leave_events: int
+    repair_sweeps: int
+    orphans_reassigned: int
+    representatives_replaced: int
+    bridges_created: int
+    cluster_before: dict[str, float]
+    cluster_after: dict[str, float]
+
+
 def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
     """Execute one (protocol, level, seed) campaign — process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.experiments.runner import select_measuring_nodes
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
     config = job.config
     schedule = job.schedule
     scenario = build_scenario(
@@ -338,7 +370,7 @@ def run_churn_resilience(
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_churn_resilience_job, cfg)
+    grid = run_seed_grid(points, make_job, run_churn_seed, cfg)
 
     # Merge in submission order — identical aggregates for every worker count.
     results: dict[str, ChurnResilienceResult] = {}
@@ -453,12 +485,3 @@ def clustering_survives_churn(results: dict[str, ChurnResilienceResult]) -> bool
     if "mean_s" not in bcbpt or "mean_s" not in bitcoin:
         return False
     return bcbpt["mean_s"] < bitcoin["mean_s"]
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run churn_resilience``."""
-    return deprecated_main("churn_resilience", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

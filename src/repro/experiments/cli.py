@@ -7,7 +7,7 @@ One command drives every registered experiment::
     repro run fig3 --nodes 200 --runs 10 --workers 4
     repro run fig4 --thresholds-ms 30 50 100
     repro run fig3 --sweep latency_threshold_s=0.02,0.03
-    repro run fig3 --backend pool --resume      # checkpoint + resume cells
+    repro run fig3 --workers 4 --resume         # checkpoint + resume cells
     repro shard run fig3 --shard 0/2 --cells a  # one deterministic slice
     repro shard merge fig3 a b                  # reassemble the full grid
     repro compare fig3                          # diff the two newest runs
@@ -48,7 +48,7 @@ from repro.experiments.api import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments.backends import BACKEND_NAMES, ExecutionPlan, GridIncomplete
+from repro.experiments.backends import ExecutionPlan, GridIncomplete
 from repro.experiments.checkpoint import CellStore
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import format_table
@@ -263,13 +263,6 @@ def build_run_parser(spec: ExperimentSpec) -> argparse.ArgumentParser:
         "change a result — only whether/where/when each cell runs",
     )
     plane.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="auto",
-        help="cell executor: inline (serial, bit-exact reference), pool "
-        "(process pool with warm workers), or auto (by worker count; default)",
-    )
-    plane.add_argument(
         "--cells",
         default=None,
         metavar="DIR",
@@ -352,7 +345,6 @@ def _cell_store(spec: ExperimentSpec, args: argparse.Namespace) -> Optional[Cell
 def _build_plan(spec: ExperimentSpec, args: argparse.Namespace, **overrides: Any) -> ExecutionPlan:
     """One invocation's :class:`ExecutionPlan` from the shared CLI flags."""
     plan_kwargs: dict[str, Any] = {
-        "backend": args.backend,
         "store": _cell_store(spec, args),
         "max_cells": args.max_cells,
         "snapshot_dir": args.snapshot_dir,

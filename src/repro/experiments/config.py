@@ -38,9 +38,10 @@ class ExperimentConfig:
         run_timeout_s: per-repetition simulated-time budget.
         workers: processes used to fan (protocol, seed) jobs out.  1 (the
             default) runs the bit-exact serial path in-process; 0 means "one
-            per CPU"; higher values use a :class:`~repro.experiments.parallel.
-            ParallelRunner`, whose merge step reproduces the serial aggregates
-            exactly, so results are identical for every worker count.
+            per CPU"; higher values use a process pool
+            (:class:`~repro.experiments.backends.PoolBackend`) whose ordered
+            merge reproduces the serial aggregates exactly, so results are
+            identical for every worker count.
     """
 
     node_count: int = 200
@@ -137,7 +138,3 @@ class ExperimentConfig:
         if overrides:
             config = config.with_overrides(**overrides)
         return config
-
-    #: Backwards-compatible aliases (pre-unified-CLI names).
-    add_cli_arguments = add_arguments
-    from_cli = from_args

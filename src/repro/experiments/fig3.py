@@ -7,14 +7,13 @@ Bitcoin's variance grows with the connection count.
 
 Run via the unified CLI (``python -m repro.experiments run fig3`` or the
 ``repro run fig3`` console script) or through ``benchmarks/test_bench_fig3.py``.
-``python -m repro.experiments.fig3`` remains as a deprecated shim.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.api import deprecated_main, experiment
+from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import ExperimentReport, format_delay_summaries, format_table
 from repro.experiments.runner import (
@@ -102,12 +101,3 @@ def run_fig3(config: Optional[ExperimentConfig] = None) -> dict[str, Propagation
     """Execute the Fig. 3 comparison and return per-protocol results."""
     cfg = config if config is not None else ExperimentConfig()
     return run_protocol_comparison(FIG3_PROTOCOLS, cfg)
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated CLI shim; forwards to ``repro run fig3``."""
-    return deprecated_main("fig3", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

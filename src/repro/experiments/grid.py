@@ -8,8 +8,8 @@ cross-product is built, fanned out and regrouped:
 
 1. jobs are constructed **point-major, seed-minor** — exactly the order the
    pre-grid serial loops used;
-2. they fan out over the existing
-   :class:`~repro.experiments.parallel.ParallelRunner`, which returns results
+2. they fan out over the active
+   :class:`~repro.experiments.backends.ExecutionPlan`, which returns results
    in submission order regardless of completion order;
 3. the flat result list is regrouped into one ``(point, seed_results)`` pair
    per sweep point, with seed results in seed order.
@@ -29,20 +29,20 @@ see ``SampleLog.add_per_seed``), so the ``samples`` field persisted into the
 figure ``repro report`` later regenerates from it — is byte-identical for
 every worker count.
 
-Since the execution-plane refactor the fan-out itself is delegated to an
-:class:`~repro.experiments.backends.ExecutionPlan`: the plan chooses the
-executor backend (inline / process pool with warm workers), consults the
-checkpoint store for already-completed cells, applies the shard slice and
-the cell budget, and persists each freshly computed cell the moment the
-streaming regroup emits it.  ``run_experiment`` installs the plan with
+The plan picks the executor from the worker count (inline at one worker,
+a process pool with warm workers otherwise), consults the checkpoint store
+for already-completed cells, applies the shard slice and the cell budget,
+and persists each freshly computed cell the moment the streaming regroup
+emits it.  ``run_experiment`` installs the plan with
 :func:`~repro.experiments.backends.use_plan`, so every registered
-experiment inherits backends, checkpoint/resume and sharding for free; a
-driver called directly (tests, examples) gets an ephemeral default plan
-equivalent to the old behaviour.
+experiment inherits pooled execution, checkpoint/resume and sharding for
+free; a driver called directly (tests, examples) gets an ephemeral default
+plan driven by ``config.workers``.
 
 Job specs must be picklable (frozen dataclasses of plain values) and
-``job_fn`` must be a module-level callable — the same constraints
-:class:`~repro.experiments.parallel.ParallelRunner` imposes.
+``job_fn`` must be a module-level callable, so both survive the trip
+through a process pool.  Each driver defines its own job/result dataclass
+pair next to the ``run_*_seed`` body it passes here.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def run_seed_grid(
         config: supplies the seeds and the worker count.
         plan: execution plan; defaults to the plan installed by
             :func:`~repro.experiments.backends.use_plan` (how
-            ``run_experiment`` threads backends/checkpoints through without
+            ``run_experiment`` threads checkpoints and shards through without
             changing driver signatures), and otherwise to an ephemeral
             default plan driven by ``config.workers``.
 

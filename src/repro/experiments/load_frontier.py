@@ -32,8 +32,7 @@ the highest offered load — i.e. whether the propagation advantage survives
 congestion instead of being an idle-network artefact.
 
 (policy, rate, seed) cells are independent simulations; they fan out over
-:class:`~repro.experiments.parallel.ParallelRunner` and merge in submission
-order.  Because the P² estimator state cannot be merged, every cell finalises
+the shared seed-grid executor and merge in submission order.  Because the P² estimator state cannot be merged, every cell finalises
 its quantiles *inside* the worker and the driver aggregates per-seed scalars
 only — which is what keeps every aggregate identical for every worker count.
 
@@ -50,12 +49,22 @@ from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import LoadJob, LoadJobResult, run_load_job
 from repro.experiments.reporting import ExperimentReport, format_table
-from repro.workloads.traffic import PROFILE_KINDS
+from repro.protocol.mining import MiningProcess, equal_hash_power
+from repro.protocol.node import NodeConfig
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
+from repro.workloads.traffic import (
+    PROFILE_KINDS,
+    ConfirmationTracker,
+    FeeModel,
+    TrafficModel,
+    TrafficProfile,
+)
 
 #: Policies compared by default: the vanilla baseline vs the paper's overlay.
 LOAD_PROTOCOLS = ("bitcoin", "bcbpt")
@@ -265,21 +274,102 @@ def cell_label(protocol: str, offered_tps: float) -> str:
 
 
 # ----------------------------------------------------------------- job body
+@dataclass(frozen=True)
+class LoadJob:
+    """One (protocol, offered load, seed) sustained-traffic cell.
+
+    Attributes:
+        protocol: neighbour-selection policy under test.
+        offered_tps: target aggregate transaction arrival rate (tx/s).
+        profile_kind: traffic schedule shape (``"constant"``, ``"ramp"`` or
+            ``"step"``; ramp/step reach ``offered_tps`` halfway through the
+            horizon).
+        seed: master seed for the cell's network, traffic and mining streams.
+        horizon_s: simulated seconds of sustained load.
+        block_interval_s: network-wide mean block interval.
+        max_block_bytes: block size cap (drives the fee market once offered
+            bytes/s exceed block bytes/s).
+        mempool_max_size: per-node mempool capacity (fee-priority eviction
+            above it).
+        confirmation_depth: burials needed before a transaction counts as
+            confirmed (``k`` in tx-generated → buried-``k``-deep).
+        mean_fee_satoshi: mean of the exponential per-transaction fee draw.
+        funding_outputs: confirmed outputs funded per node before load starts.
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        config: shared experiment configuration.
+    """
+
+    protocol: str
+    offered_tps: float
+    profile_kind: str
+    seed: int
+    horizon_s: float
+    block_interval_s: float
+    max_block_bytes: int
+    mempool_max_size: int
+    confirmation_depth: int
+    mean_fee_satoshi: float
+    funding_outputs: int
+    threshold_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class LoadJobResult:
+    """Per-(protocol, rate, seed) streamed tallies merged by the load driver.
+
+    Confirmation quantiles are P² streaming estimates finalised inside the
+    worker (the estimator state cannot be merged), so the driver only ever
+    aggregates per-seed scalars — which is what makes the merge independent
+    of worker count.
+    """
+
+    protocol: str
+    offered_tps: float
+    seed: int
+    txs_generated: int
+    generation_failures: int
+    txs_confirmed: int
+    pending_at_end: int
+    confirmation_p50_s: float
+    confirmation_p99_s: float
+    confirmation_mean_s: float
+    confirmation_max_s: float
+    backlog_curve: tuple[tuple[float, int], ...]
+    blocks_mined: int
+    full_blocks_mined: int
+    total_fees_collected: int
+    fee_evictions: int
+    capacity_drops: int
+    conflict_evictions: int
+    events: int
+    horizon_s: float
+
+    @property
+    def generated_tps(self) -> float:
+        """Achieved generation rate (tx/s) over the horizon."""
+        return self.txs_generated / self.horizon_s if self.horizon_s > 0 else 0.0
+
+    @property
+    def confirmed_tps(self) -> float:
+        """Confirmed throughput (tx/s) over the horizon."""
+        return self.txs_confirmed / self.horizon_s if self.horizon_s > 0 else 0.0
+
+    @property
+    def backlog_final(self) -> int:
+        """Observer mempool depth at the end of the horizon."""
+        return self.backlog_curve[-1][1] if self.backlog_curve else 0
+
+    @property
+    def backlog_mid(self) -> int:
+        """Observer mempool depth halfway through the horizon."""
+        if not self.backlog_curve:
+            return 0
+        return self.backlog_curve[len(self.backlog_curve) // 2][1]
+
+
 def run_load_seed(job: LoadJob) -> LoadJobResult:
     """Execute one (protocol, rate, seed) cell — the process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.protocol.mining import MiningProcess, equal_hash_power
-    from repro.protocol.node import NodeConfig
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-    from repro.workloads.traffic import (
-        ConfirmationTracker,
-        FeeModel,
-        TrafficModel,
-        TrafficProfile,
-    )
-
     config = job.config
     parameters = NetworkParameters(
         node_count=config.node_count,
@@ -676,7 +766,7 @@ def run_load_frontier(
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_load_job, cfg)
+    grid = run_seed_grid(points, make_job, run_load_seed, cfg)
 
     # Merge in submission order — identical aggregates for every worker count.
     results: dict[str, LoadCellResult] = {}
@@ -708,12 +798,3 @@ def run_load_frontier(
             cell.conflict_evictions += job_result.conflict_evictions
             cell.events += job_result.events
     return results
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Deprecated ``python -m repro.experiments.load_frontier`` entry point."""
-    return deprecated_main("load_frontier", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,8 +27,8 @@ the adaptation narrow the overlay's advantage
 (``adaptive_narrows_clustering_advantage``)?
 
 (relay, protocol, seed) campaigns are independent simulations; they fan out
-over :class:`~repro.experiments.parallel.ParallelRunner` and merge in
-submission order, so aggregates are identical for every worker count.
+over the shared seed-grid executor and merge in submission order, so
+aggregates are identical for every worker count.
 
 Run from the command line::
 
@@ -44,13 +44,16 @@ from typing import Optional, Sequence
 
 from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import RelayJob, RelayJobResult, run_relay_job
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.measurement.stats import DelayDistribution
+from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.relay import validate_relay_name
+from repro.workloads.generators import fund_nodes
+from repro.workloads.network_gen import NetworkParameters
+from repro.workloads.scenarios import build_scenario
 
 #: Relay strategies compared by default, flood (the paper's baseline) first.
 RELAY_SWEEP = ("flood", "compact", "push", "adaptive", "headers")
@@ -170,14 +173,64 @@ class RelayComparisonResult:
 
 
 # ----------------------------------------------------------------- job body
+@dataclass(frozen=True)
+class RelayJob:
+    """One (relay strategy, protocol, seed) block-propagation campaign.
+
+    Attributes:
+        relay: relay-strategy name (one of
+            :data:`repro.protocol.relay.RELAY_NAMES`).
+        protocol: neighbour-selection policy under test.
+        seed: master seed for the job's network and simulator.
+        blocks: blocks mined (and measured) in the campaign.
+        txs_per_block: fresh transactions injected and drained before each
+            block, so compact reconstruction has a mempool to draw from.
+        block_horizon_s: simulated time allowed for each block to reach the
+            whole network.
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        config: shared experiment configuration.
+    """
+
+    relay: str
+    protocol: str
+    seed: int
+    blocks: int
+    txs_per_block: int
+    block_horizon_s: float
+    threshold_s: float
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class RelayJobResult:
+    """Per-(relay, protocol, seed) tallies merged by the relay driver."""
+
+    relay: str
+    protocol: str
+    seed: int
+    block_delay_samples: tuple[float, ...]
+    blocks_measured: int
+    relay_messages: int
+    relay_bytes: int
+    block_payload_bytes: int
+    message_breakdown: dict[str, int]
+    coverage: float
+    compact_blocks_reconstructed: int
+    compact_txs_requested: int
+    compact_fallbacks: int
+    blocks_pushed: int
+    compact_txn_timeouts: int = 0
+    adaptive_fanout_widened: int = 0
+    adaptive_fanout_narrowed: int = 0
+    mean_final_fanout: float = float("nan")
+    fanout_samples: tuple[tuple[float, int], ...] = ()
+    getheaders_sent: int = 0
+    headers_received: int = 0
+    header_bodies_requested: int = 0
+
+
 def run_relay_seed(job: RelayJob) -> RelayJobResult:
     """Execute one (relay, protocol, seed) campaign — process-pool entry point."""
-    # Imported lazily: parallel.py is config-level and imports us back.
-    from repro.protocol.mining import MiningProcess, equal_hash_power
-    from repro.workloads.generators import fund_nodes
-    from repro.workloads.network_gen import NetworkParameters
-    from repro.workloads.scenarios import build_scenario
-
     config = job.config
     scenario = build_scenario(
         job.protocol,
@@ -437,7 +490,7 @@ def run_relay_comparison(
             config=cfg,
         )
 
-    grid = run_seed_grid(points, make_job, run_relay_job, cfg)
+    grid = run_seed_grid(points, make_job, run_relay_seed, cfg)
 
     # Merge in submission order — identical aggregates for every worker count.
     results: dict[str, RelayComparisonResult] = {}
@@ -649,12 +702,3 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     report.add_data("summaries", {key: r.summary() for key, r in results.items()})
     report.add_data("results", results)
     return report
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Module-CLI shim; forwards to ``repro run relay_comparison``."""
-    return deprecated_main("relay_comparison", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

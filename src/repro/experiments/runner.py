@@ -12,8 +12,7 @@ one built :class:`~repro.workloads.scenarios.Scenario`:
 on *identically parameterised* networks — the controlled comparison behind
 Fig. 3 — and returns per-protocol aggregates.  Because every (protocol, seed)
 job is an independent simulation, the comparison fans jobs out over the shared
-seed-grid executor (:func:`~repro.experiments.grid.run_seed_grid`, layered on
-:class:`~repro.experiments.parallel.ParallelRunner`) when
+seed-grid executor (:func:`~repro.experiments.grid.run_seed_grid`) when
 ``config.workers != 1``; the merge below consumes job results in submission
 order, so the aggregates are identical for every worker count.
 """
@@ -28,12 +27,11 @@ from repro.analysis.samples import SampleLog
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import PropagationJob, run_propagation_job
 from repro.measurement.measuring_node import CampaignResult, MeasurementCampaign, MeasuringNode
 from repro.measurement.stats import DelayDistribution
 from repro.workloads.generators import fund_nodes
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
-from repro.workloads.scenarios import Scenario, validate_policy_name
+from repro.workloads.scenarios import Scenario, build_scenario, validate_policy_name
 
 
 @dataclass
@@ -167,6 +165,63 @@ class PropagationExperiment:
         return result
 
 
+@dataclass(frozen=True)
+class PropagationJob:
+    """One (protocol label, seed) propagation campaign.
+
+    Attributes:
+        label: protocol label as reported in results (may carry a threshold
+            suffix, e.g. ``"bcbpt@50ms"``).
+        policy_name: the underlying policy to build (``"bitcoin"``, ``"lbc"``
+            or ``"bcbpt"``).
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        seed: master seed for the job's network and simulator.
+        config: shared experiment configuration.
+        snapshot_path: optional path to a pre-built network snapshot for this
+            job's (node count, seed); when set the worker loads it instead of
+            rebuilding the network (stream-exact, so results are unchanged).
+    """
+
+    label: str
+    policy_name: str
+    threshold_s: float
+    seed: int
+    config: ExperimentConfig
+    snapshot_path: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class PropagationJobResult:
+    """Everything the serial merge reads from one propagation campaign."""
+
+    label: str
+    seed: int
+    result: PropagationResult
+    cluster_summary: dict[str, float]
+    build_report: object
+
+
+def run_propagation_seed(job: PropagationJob) -> PropagationJobResult:
+    """Execute one (protocol, seed) campaign — the process-pool entry point."""
+    parameters = NetworkParameters(node_count=job.config.node_count, seed=job.seed)
+    scenario = build_scenario(
+        job.policy_name,
+        parameters,
+        latency_threshold_s=job.threshold_s,
+        max_outbound=job.config.max_outbound,
+        snapshot=job.snapshot_path,
+    )
+    scenario.name = job.label
+    result = PropagationExperiment(scenario, job.config).run()
+    return PropagationJobResult(
+        label=job.label,
+        seed=job.seed,
+        result=result,
+        cluster_summary=result.cluster_summaries[job.seed],
+        build_report=result.build_reports[job.seed],
+    )
+
+
 def collect_propagation_samples(
     results: dict[str, PropagationResult],
 ) -> SampleLog:
@@ -246,7 +301,7 @@ def run_protocol_comparison(
             snapshot_path=snapshot_paths.get(seed),
         )
 
-    grid = run_seed_grid(protocols, make_job, run_propagation_job, config)
+    grid = run_seed_grid(protocols, make_job, run_propagation_seed, config)
 
     # Merge in submission order — exactly the order the serial nested loop
     # used, so pooled aggregates are identical for every worker count.

@@ -29,20 +29,23 @@ Run from the command line::
 from __future__ import annotations
 
 import contextlib
+import resource
 import tempfile
+import time
+import tracemalloc
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
-from repro.experiments.api import ExperimentOption, deprecated_main, experiment
+from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import run_seed_grid
-from repro.experiments.parallel import ScaleJob, ScaleJobResult, run_scale_job
 from repro.experiments.reporting import ExperimentReport, format_table
+from repro.experiments.runner import PropagationExperiment
 from repro.protocol.node import NodeConfig
 from repro.workloads.network_gen import NetworkParameters, ensure_network_snapshot
-from repro.workloads.scenarios import validate_policy_name
+from repro.workloads.scenarios import build_scenario, validate_policy_name
 
 #: Policies measured by default: the vanilla baseline and the paper's overlay.
 SCALE_PROTOCOLS = ("bitcoin", "bcbpt")
@@ -62,13 +65,122 @@ def scale_parameters(
     """The network parameters of one scale cell.
 
     Shared between the driver (which pre-builds snapshots) and
-    :func:`~repro.experiments.parallel.run_scale_job` (which loads them), so
+    :func:`run_scale_seed` (which loads them), so
     both sides agree bit-for-bit on the snapshot cache key.
     """
     return NetworkParameters(
         node_count=node_count,
         seed=seed,
         node_config=NodeConfig(prune_depth=prune_depth),
+    )
+
+
+@dataclass(frozen=True)
+class ScaleJob:
+    """One (node count, protocol, seed) scale-measurement cell.
+
+    Attributes:
+        node_count: network size of this ladder point.
+        protocol: neighbour-selection policy under test.
+        seed: master seed for the cell's network and simulator.
+        threshold_s: BCBPT latency threshold ``d_t`` in seconds.
+        prune_depth: ``NodeConfig.prune_depth`` applied to every node (None
+            disables in-run pruning).
+        cell_runs: measurement runs per cell (kept small — the cell measures
+            resource scaling, not delay statistics).
+        profile_memory: trace the cell's Python allocations with
+            ``tracemalloc`` (accurate per-cell peaks, roughly 2x slower).
+        snapshot_path: optional pre-built network snapshot for this
+            (node count, seed); the worker loads it instead of rebuilding.
+        config: shared experiment configuration.
+    """
+
+    node_count: int
+    protocol: str
+    seed: int
+    threshold_s: float
+    prune_depth: Optional[int]
+    cell_runs: int
+    profile_memory: bool
+    snapshot_path: Optional[str]
+    config: ExperimentConfig
+
+
+@dataclass(frozen=True)
+class ScaleJobResult:
+    """Per-cell resource measurements merged by the scale driver."""
+
+    node_count: int
+    protocol: str
+    seed: int
+    build_s: float
+    run_s: float
+    events: int
+    delay_samples: int
+    peak_traced_mb: Optional[float]
+    rss_mb: float
+    state_prunes: int
+    pruned_inventory_entries: int
+
+    @property
+    def wall_s(self) -> float:
+        """Total cell wall time (network acquire + campaign)."""
+        return self.build_s + self.run_s
+
+    @property
+    def events_per_s(self) -> float:
+        """Simulation throughput over the campaign phase."""
+        if self.run_s <= 0:
+            return float("nan")
+        return self.events / self.run_s
+
+
+def run_scale_seed(job: ScaleJob) -> ScaleJobResult:
+    """Execute one scale cell — the process-pool entry point."""
+    cfg = job.config.with_overrides(
+        node_count=job.node_count,
+        runs=job.cell_runs,
+        measuring_nodes=1,
+        seeds=(job.seed,),
+    )
+    if job.profile_memory:
+        tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        scenario = build_scenario(
+            job.protocol,
+            scale_parameters(job.node_count, job.seed, job.prune_depth),
+            latency_threshold_s=job.threshold_s,
+            max_outbound=cfg.max_outbound,
+            snapshot=job.snapshot_path,
+        )
+        built = time.perf_counter()
+        result = PropagationExperiment(scenario, cfg, fund_measuring_only=True).run()
+        finished = time.perf_counter()
+        peak_traced_mb: Optional[float] = None
+        if job.profile_memory:
+            peak_traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        if job.profile_memory:
+            tracemalloc.stop()
+    nodes = scenario.network.nodes.values()
+    return ScaleJobResult(
+        node_count=job.node_count,
+        protocol=job.protocol,
+        seed=job.seed,
+        build_s=built - start,
+        run_s=finished - built,
+        events=scenario.simulator.events_executed,
+        delay_samples=len(result.delays),
+        peak_traced_mb=peak_traced_mb,
+        # ru_maxrss is the process-lifetime high-water mark in KB on Linux;
+        # under a reused pool worker it is an upper bound, not a per-cell peak
+        # (the tracemalloc figure is the per-cell one).
+        rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        state_prunes=sum(node.stats.state_prunes for node in nodes),
+        pruned_inventory_entries=sum(
+            node.stats.pruned_inventory_entries for node in nodes
+        ),
     )
 
 
@@ -339,7 +451,7 @@ def run_scale(
                 config=cfg,
             )
 
-        grid = run_seed_grid(points, make_job, run_scale_job, cfg)
+        grid = run_seed_grid(points, make_job, run_scale_seed, cfg)
 
     # Merge in submission order — identical aggregates for every worker count.
     results: dict[str, ScaleResult] = {}
@@ -350,12 +462,3 @@ def run_scale(
             pooled = results[key] = ScaleResult(protocol=protocol, node_count=rung)
         pooled.cells.extend(seed_results)
     return results
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Module-CLI shim; forwards to ``repro run scale``."""
-    return deprecated_main("scale", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.experiments import api
 from repro.experiments.api import (
     DRIVER_MODULES,
     ExperimentOption,
@@ -75,6 +76,30 @@ class TestRegistry:
             register(dataclasses.replace(spec, run=imposter))
         # The original spec must be untouched by the failed attempt.
         assert get_experiment("fig3") is spec
+
+    def test_duplicate_registration_from_same_source_rejected(self, monkeypatch):
+        # Two implementations from one file no longer share a name: only the
+        # very same run function may re-register.
+        monkeypatch.setattr(api, "_REGISTRY", dict(api._REGISTRY))
+
+        def first(config=None):
+            return None
+
+        def second(config=None):
+            return None
+
+        spec = dataclasses.replace(get_experiment("fig3"), name="_dup", run=first)
+        register(spec)
+        with pytest.raises(ValueError, match="already registered"):
+            register(dataclasses.replace(spec, run=second))
+        assert get_experiment("_dup") is spec
+
+    def test_reregistering_the_same_run_replaces_the_spec(self, monkeypatch):
+        monkeypatch.setattr(api, "_REGISTRY", dict(api._REGISTRY))
+        spec = get_experiment("fig3")
+        retitled = dataclasses.replace(spec, title="retitled")
+        register(retitled)
+        assert get_experiment("fig3") is retitled
 
 
 class TestOptionResolution:

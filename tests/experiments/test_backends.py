@@ -10,18 +10,20 @@ placeholders without ever changing a produced value.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
 
+from repro.experiments import checkpoint
 from repro.experiments.backends import (
+    DEFAULT_WARM_LIMIT,
     MISSING,
     ExecutionPlan,
     GridIncomplete,
     InlineBackend,
     PoolBackend,
     adaptive_chunksize,
-    make_backend,
     resolve_workers,
 )
 from repro.experiments.checkpoint import (
@@ -31,11 +33,21 @@ from repro.experiments.checkpoint import (
     missing_keys,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ParallelRunner, PropagationJob
+from repro.experiments.runner import PropagationJob
 
 
 def _double(value: int) -> int:
     return value * 2
+
+
+def _pid(_: int) -> int:
+    return os.getpid()
+
+
+def _warm_cache_limit(_: int) -> int:
+    from repro.workloads import network_gen
+
+    return network_gen._SNAPSHOT_CACHE_LIMIT
 
 
 class TestInlineBackend:
@@ -56,11 +68,12 @@ class TestPoolBackend:
 
     def test_streams_results_in_submission_order(self):
         emitted = []
-        results = PoolBackend(workers=4, chunksize=2).run(
+        results = PoolBackend(workers=4).run(
             _double, list(range(21)), lambda i, r: emitted.append((i, r))
         )
         # on_result must fire for every cell, strictly in submission order,
-        # regardless of which worker finished first.
+        # regardless of which worker finished first (21 jobs on 4 workers
+        # chunk one cell per task, so many chunks race).
         assert emitted == [(i, 2 * i) for i in range(21)]
         assert results == [2 * i for i in range(21)]
 
@@ -78,46 +91,23 @@ class TestPoolBackend:
         with pytest.raises(ValueError):
             PoolBackend(workers=-2)
 
-
-class TestParallelRunnerStreaming:
-    def test_map_jobs_streams_on_result(self):
-        emitted = []
-        runner = ParallelRunner(workers=4)
-        results = runner.map_jobs(
-            _double, list(range(12)), on_result=lambda i, r: emitted.append((i, r))
-        )
-        assert results == [2 * i for i in range(12)]
-        assert emitted == [(i, 2 * i) for i in range(12)]
-
-    def test_serial_map_jobs_streams_on_result(self):
-        emitted = []
-        ParallelRunner(workers=1).map_jobs(
-            _double, [3, 4], on_result=lambda i, r: emitted.append((i, r))
-        )
-        assert emitted == [(0, 6), (1, 8)]
+    def test_warm_workers_use_the_default_cache_limit(self):
+        limits = PoolBackend(workers=2).run(_warm_cache_limit, [0, 1, 2, 3])
+        assert limits == [DEFAULT_WARM_LIMIT] * 4
 
 
-class TestBackendFactory:
-    def test_auto_picks_by_worker_count(self):
-        assert make_backend("auto", 1).name == "inline"
-        assert make_backend("auto", 4).name == "pool"
-
-    def test_explicit_names(self):
-        assert make_backend("inline", 8).name == "inline"
-        assert make_backend("pool", 8).name == "pool"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("cloud", 4)
-
+class TestWorkerSizing:
     def test_adaptive_chunksize(self):
         assert adaptive_chunksize(8, 4) == 1  # fewer jobs than target chunks
         assert adaptive_chunksize(320, 4) == 20  # 4 workers * 4 chunks each
         assert adaptive_chunksize(0, 4) == 1
 
     def test_resolve_workers(self):
+        assert resolve_workers(1, 10) == 1
         assert resolve_workers(8, 3) == 3
         assert resolve_workers(0, 2) >= 1
+        with pytest.raises(ValueError):
+            resolve_workers(-1, 4)
 
 
 def _propagation_job(**overrides) -> PropagationJob:
@@ -153,6 +143,13 @@ class TestCellKey:
             "fig3", _propagation_job(config=ExperimentConfig(node_count=200, workers=1))
         )
         assert cell_key("fig3", base) != cell_key("fig4", base)
+
+    def test_schema_version_changes_the_key(self, monkeypatch):
+        # Stores written under another cell schema are ignored, not misread.
+        job = _propagation_job()
+        before = cell_key("fig3", job)
+        monkeypatch.setattr(checkpoint, "CELL_SCHEMA_VERSION", checkpoint.CELL_SCHEMA_VERSION + 1)
+        assert cell_key("fig3", job) != before
 
     def test_canonical_job_strips_execution_fields(self):
         data = canonical_job(_propagation_job(snapshot_path="/tmp/x.pkl"))
@@ -240,9 +237,27 @@ class TestExecutionPlanValidation:
         with pytest.raises(ValueError, match="execute"):
             ExecutionPlan(execute=False)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExecutionPlan(backend="cloud")
+
+class TestExecutorFromWorkerCount:
+    """The worker count alone picks the executor: inline at one, pool above."""
+
+    def test_one_worker_runs_in_the_calling_process(self):
+        pids = ExecutionPlan().run_cells(_pid, [0, 1, 2], CONFIG)
+        assert pids == [os.getpid()] * 3
+
+    def test_several_workers_run_in_worker_processes(self):
+        config = ExperimentConfig(node_count=80, workers=2)
+        pids = ExecutionPlan().run_cells(_pid, [0, 1, 2, 3], config)
+        assert os.getpid() not in pids
+
+    def test_plan_workers_override_config_down_to_inline(self):
+        config = ExperimentConfig(node_count=80, workers=4)
+        pids = ExecutionPlan(workers=1).run_cells(_pid, [0, 1], config)
+        assert pids == [os.getpid()] * 2
+
+    def test_plan_workers_override_config_up_to_pool(self):
+        pids = ExecutionPlan(workers=2).run_cells(_pid, [0, 1, 2, 3], CONFIG)
+        assert os.getpid() not in pids
 
 
 class TestExecutionPlanRunCells:

@@ -2,15 +2,13 @@
 
 Every registered experiment is exercised end-to-end at tiny scale through the
 same entry point the shell uses (`cli.main`), including result-store
-persistence, the sweep grid, `compare`, and the deprecated per-module shims.
+persistence, the sweep grid and `compare`.
 """
-
-import warnings
 
 import pytest
 
-from repro.experiments.api import experiment_names
-from repro.experiments.cli import main
+from repro.experiments.api import experiment_names, get_experiment
+from repro.experiments.cli import build_run_parser, main
 from repro.experiments.results import ResultStore
 
 #: Tiny-scale arguments per experiment: every registered name must appear
@@ -233,31 +231,12 @@ def test_diff_latest_works_with_no_save(tmp_path, capsys):
     assert len(ResultStore(store_dir).run_ids("fig3")) == 1
 
 
-def test_deprecated_module_entry_points_warn_and_forward(tmp_path, capsys):
-    """The nine legacy `python -m repro.experiments.<name>` mains still work,
-    emitting a DeprecationWarning and reusing the unified flag set."""
-    from repro.experiments import fig3 as fig3_module
-
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        rc = fig3_module.main(
-            [*TINY_ARGS["fig3"], "--results-dir", str(tmp_path / "results")]
-        )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "Fig. 3" in out
-    assert ResultStore(tmp_path / "results").run_ids("fig3")
-
-
-def test_all_legacy_mains_are_shims():
-    """Every driver module's main() forwards to the unified CLI (no module
-    keeps a private argparse copy)."""
-    import importlib
-    import inspect
-
-    from repro.experiments.api import DRIVER_MODULES
-
-    for module_name in DRIVER_MODULES:
-        module = importlib.import_module(module_name)
-        source = inspect.getsource(module.main)
-        assert "deprecated_main" in source, f"{module_name}.main is not a shim"
-        assert "argparse" not in source, f"{module_name}.main still parses argv itself"
+def test_run_parser_has_no_backend_flag(capsys):
+    """The worker count alone picks the executor, so `run` offers no
+    `--backend` choice and rejects the flag."""
+    parser = build_run_parser(get_experiment("fig3"))
+    assert "--backend" not in parser.format_help()
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["--backend", "pool"])
+    assert excinfo.value.code == 2
+    assert "--backend" in capsys.readouterr().err

@@ -53,12 +53,6 @@ class TestExperimentConfig:
         base = ExperimentConfig(node_count=123)
         assert ExperimentConfig.from_args(args, base) == base
 
-    def test_legacy_builder_aliases_still_work(self):
-        parser = argparse.ArgumentParser()
-        ExperimentConfig.add_cli_arguments(parser)
-        args = parser.parse_args(["--nodes", "50"])
-        assert ExperimentConfig.from_cli(args).node_count == 50
-
 
 class TestFormatTable:
     def test_basic_rendering(self):

@@ -2,7 +2,7 @@
 
 Covers registration, the driver's pooled merge, the saturation detector, the
 worker-count-invariance contract (the P²-scalars-only merge is the whole
-reason :class:`~repro.experiments.parallel.LoadJobResult` carries no raw
+reason :class:`~repro.experiments.load_frontier.LoadJobResult` carries no raw
 latency series), and the streamed-quantile exactness regression: on runs
 small enough that the P² estimator is still in its exact phase, the streamed
 confirmation summary must equal the exact ``percentile()`` of the same

@@ -16,11 +16,11 @@ import pytest
 
 from repro.experiments.api import get_experiment, run_experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ScaleJob
 from repro.experiments.runner import run_protocol_comparison
 from repro.experiments.scale import (
     DEFAULT_PRUNE_DEPTH,
     SCALE_PROTOCOLS,
+    ScaleJob,
     build_report,
     default_ladder,
     run_scale,
