@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's figures (or one of the
-extensions documented in DESIGN.md) and prints the corresponding text table so
+extensions listed by ``repro list``) and prints the corresponding text table so
 the shape can be compared against the paper.  Scale is controlled by
 environment variables so the same harness covers both the minutes-scale CI
 run and a paper-scale reproduction:

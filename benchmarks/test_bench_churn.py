@@ -39,14 +39,14 @@ def test_churn_resilience_end_to_end_quickly(bench_config):
     }
     for key, result in results.items():
         assert len(result.delays) > 0, f"{key} produced no delay samples"
-        assert 0.0 < result.mean_coverage() <= 1.0
+        assert 0.0 < result.summary()["mean_coverage"] <= 1.0
         if result.level == "static":
-            assert result.leave_events == 0
+            assert result.total("leave_events") == 0
         else:
-            assert result.leave_events > 0, f"{key} saw no churn"
+            assert result.total("leave_events") > 0, f"{key} saw no churn"
     # The clustered protocols' maintenance actually ran under churn.
-    assert results["bcbpt/heavy"].repair_sweeps > 0
-    assert results["lbc/heavy"].repair_sweeps > 0
+    assert results["bcbpt/heavy"].total("repair_sweeps") > 0
+    assert results["lbc/heavy"].total("repair_sweeps") > 0
     assert run.verdicts["clustering_survives_churn"]
 
     print()

@@ -44,19 +44,19 @@ def test_doublespend_merchant_detects_conflict_everywhere(doublespend_points):
     transaction under every protocol (the network is connected), so detection
     rates are high."""
     for point in doublespend_points:
-        assert point.detection_rate >= 0.5
+        assert point.summary()["detection_rate"] >= 0.5
 
 
 def test_doublespend_clustering_does_not_help_the_attacker(doublespend_points):
     """Faster propagation must not increase the attacker's first-seen share."""
-    by_name = {p.protocol: p for p in doublespend_points}
-    assert by_name["bcbpt"].mean_attacker_share <= by_name["bitcoin"].mean_attacker_share + 0.15
+    by_name = {p.protocol: p.summary() for p in doublespend_points}
+    assert by_name["bcbpt"]["mean_attacker_share"] <= by_name["bitcoin"]["mean_attacker_share"] + 0.15
 
 
 def test_doublespend_detection_faster_under_clustering(doublespend_points):
     """BCBPT's faster relay lets the merchant learn of the conflict sooner."""
-    by_name = {p.protocol: p for p in doublespend_points}
-    bcbpt = by_name["bcbpt"].mean_detection_time_s
-    bitcoin = by_name["bitcoin"].mean_detection_time_s
+    by_name = {p.protocol: p.summary() for p in doublespend_points}
+    bcbpt = by_name["bcbpt"]["mean_detection_time_s"]
+    bitcoin = by_name["bitcoin"]["mean_detection_time_s"]
     if not (math.isnan(bcbpt) or math.isnan(bitcoin)):
         assert bcbpt <= bitcoin

@@ -89,8 +89,8 @@ def test_relay_comparison_end_to_end_quickly(bench_config):
         for protocol in ("bitcoin", "lbc", "bcbpt")
     }
     for key, result in results.items():
-        assert result.blocks_measured == 2, f"{key} lost a block"
-        assert result.mean_coverage() == 1.0, f"{key} did not reach every node"
+        assert result.total("blocks_measured") == 2, f"{key} lost a block"
+        assert result.summary()["mean_coverage"] == 1.0, f"{key} did not reach every node"
         assert len(result.delays) > 0
 
     for protocol in ("bitcoin", "lbc", "bcbpt"):
@@ -98,15 +98,15 @@ def test_relay_comparison_end_to_end_quickly(bench_config):
         compact = results[f"compact/{protocol}"]
         # The headline reductions: fewer relay messages per block, and fewer
         # block-payload bytes on the wire, on the same seed and overlay.
-        assert compact.messages_per_block() < flood.messages_per_block(), protocol
-        assert compact.block_payload_bytes_per_block() < flood.block_payload_bytes_per_block(), protocol
+        for tally in ("relay_messages", "block_payload_bytes"):
+            assert compact.per_block(tally) < flood.per_block(tally), (protocol, tally)
         # Compact also wins latency: one hop sheds a request round-trip.
         assert compact.delays.mean() < flood.delays.mean(), protocol
 
     # The compact machinery actually ran: blocks were rebuilt from mempools.
-    assert results["compact/bcbpt"].compact_blocks_reconstructed > 0
+    assert results["compact/bcbpt"].total("compact_blocks_reconstructed") > 0
     # Push relay exercised its unsolicited path on the clustered overlays.
-    assert results["push/bcbpt"].blocks_pushed > 0
+    assert results["push/bcbpt"].total("blocks_pushed") > 0
 
     assert run.verdicts["compact_fewer_messages_per_block"]
     assert run.verdicts["compact_faster_block_propagation"]

@@ -41,17 +41,17 @@ def test_bench_threshold_sweep(benchmark, quick_config, sweep_run):
 
 def test_sweep_cluster_count_decreases_with_threshold(sweep_points):
     """Larger thresholds merge clusters: cluster count must not increase."""
-    counts = [point.cluster_count for point in sweep_points]
+    counts = [point.summary()["cluster_count"] for point in sweep_points]
     assert all(later <= earlier + 1e-9 for earlier, later in zip(counts, counts[1:]))
 
 
 def test_sweep_cluster_size_increases_with_threshold(sweep_points):
-    sizes = [point.mean_cluster_size for point in sweep_points]
+    sizes = [point.summary()["mean_cluster_size"] for point in sweep_points]
     assert sizes[-1] >= sizes[0]
 
 
 def test_sweep_delay_worsens_toward_large_thresholds(sweep_points):
     """The extremes tell the Fig. 4 story: 200 ms is clearly worse than 25 ms."""
-    by_threshold = {round(p.threshold_s * 1000): p for p in sweep_points}
-    assert by_threshold[200].variance_s2 > by_threshold[25].variance_s2
-    assert by_threshold[200].mean_delay_s > by_threshold[25].mean_delay_s
+    by_threshold = {round(p.threshold_s * 1000): p.summary() for p in sweep_points}
+    assert by_threshold[200]["variance_s2"] > by_threshold[25]["variance_s2"]
+    assert by_threshold[200]["mean_delay_s"] > by_threshold[25]["mean_delay_s"]

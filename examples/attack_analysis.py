@@ -48,18 +48,18 @@ def main() -> int:
     print()
     print(doublespend.render())
 
-    by_name = {r.protocol: r for r in attacks.payload.eclipse}
+    eclipse = attacks.summaries
     print()
     print("Trade-off summary:")
     print(
-        f"  eclipse exposure  : bitcoin {by_name['bitcoin'].eclipsed_fraction:.2f} "
-        f"vs bcbpt {by_name['bcbpt'].eclipsed_fraction:.2f} "
+        f"  eclipse exposure  : bitcoin {eclipse['eclipse/bitcoin']['eclipsed_fraction']:.2f} "
+        f"vs bcbpt {eclipse['eclipse/bcbpt']['eclipsed_fraction']:.2f} "
         "(clustering concentrates the victim's neighbourhood)"
     )
-    race_by_name = {p.protocol: p for p in doublespend.payload}
+    races = doublespend.summaries
     print(
-        f"  attacker first-seen share: bitcoin {race_by_name['bitcoin'].mean_attacker_share:.2f} "
-        f"vs bcbpt {race_by_name['bcbpt'].mean_attacker_share:.2f} "
+        f"  attacker first-seen share: bitcoin {races['bitcoin']['mean_attacker_share']:.2f} "
+        f"vs bcbpt {races['bcbpt']['mean_attacker_share']:.2f} "
         "(faster relay does not favour the attacker)"
     )
     return 0

@@ -51,13 +51,12 @@ def main() -> int:
     print()
     print(result.render())
 
-    points = result.payload
-    best = min(points, key=lambda point: point.p90_delay_s)
+    best = min(result.summaries.values(), key=lambda summary: summary["p90_delay_s"])
     print()
     print(
-        f"Recommended threshold: {best.threshold_s * 1000:.0f} ms "
-        f"(p90 Δt = {best.p90_delay_s * 1000:.1f} ms, "
-        f"{best.cluster_count:.0f} clusters of mean size {best.mean_cluster_size:.1f})"
+        f"Recommended threshold: {best['threshold_s'] * 1000:.0f} ms "
+        f"(p90 Δt = {best['p90_delay_s'] * 1000:.1f} ms, "
+        f"{best['cluster_count']:.0f} clusters of mean size {best['mean_cluster_size']:.1f})"
     )
     return 0
 

@@ -11,7 +11,8 @@ therefore dynamic, within some variance, multiple messages between pairs of
 nodes are repeatedly sent over the time in order to determine variance" — the
 :class:`DistanceCalculator` therefore takes several ping samples per pair,
 averages them, and reports the observed variance.  Every sample costs one
-ping/pong exchange, which the overhead experiment (Ext-2 in DESIGN.md) counts.
+ping/pong exchange, which the overhead experiment (Ext-2, ``repro run overhead``)
+counts.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Experiment drivers that regenerate the paper's figures (and extensions).
 
-Each module corresponds to one experiment in DESIGN.md's index:
+Each module corresponds to one experiment of the index that ``repro list``
+prints (see "The unified experiment CLI" in the README):
 
 * :mod:`repro.experiments.fig3` — Fig. 3: Δt distribution for vanilla Bitcoin
   vs LBC vs BCBPT at ``d_t`` = 25 ms;

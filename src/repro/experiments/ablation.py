@@ -1,4 +1,4 @@
-"""Ext-5 — ablations of the design choices DESIGN.md calls out.
+"""Ext-5 — ablations of two BCBPT design choices.
 
 Two ablations on the BCBPT configuration, run with the same measuring-node
 methodology as the main figures:
@@ -16,13 +16,13 @@ methodology as the main figures:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.bcbpt import BcbptConfig, BcbptPolicy
 from repro.experiments.api import experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
@@ -32,15 +32,24 @@ from repro.workloads.scenarios import Scenario
 
 
 @dataclass(frozen=True)
-class AblationPoint:
-    """Result of one ablation variant."""
+class AblationPoint(SeedCells):
+    """Result of one ablation variant: a view over its per-seed
+    :class:`AblationJobResult` cells."""
 
     variant: str
-    mean_delay_s: float
-    variance_s2: float
-    p90_delay_s: float
-    average_degree: float
-    average_path_length: float
+    cells: tuple["AblationJobResult", ...]
+
+    def summary(self) -> dict[str, object]:
+        """The pooled Δt statistics and the across-seed topology means."""
+        delays = DelayDistribution(self.pooled("delay_samples")).summary()
+        return {
+            "variant": self.variant,
+            "mean_delay_s": delays["mean_s"],
+            "variance_s2": delays["variance_s2"],
+            "p90_delay_s": delays["p90_s"],
+            "average_degree": self.total("average_degree") / len(self.cells),
+            "average_path_length": self.total("average_path_length") / len(self.cells),
+        }
 
 
 def build_ablation_scenario(
@@ -84,7 +93,7 @@ class AblationJob:
 
 @dataclass(frozen=True)
 class AblationJobResult:
-    """Per-(variant, seed) measurements merged by the ablation driver."""
+    """Per-(variant, seed) measurements pooled by the ablation driver."""
 
     variant: str
     seed: int
@@ -134,28 +143,7 @@ def _measure_variants(
         )
 
     grid = run_seed_grid(variants, make_job, run_ablation_seed, cfg)
-
-    points: list[AblationPoint] = []
-    for (variant, _), seed_results in grid:
-        delays = DelayDistribution()
-        degrees: list[float] = []
-        path_lengths: list[float] = []
-        for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-            degrees.append(seed_result.average_degree)
-            path_lengths.append(seed_result.average_path_length)
-        stats = delays.summary()
-        points.append(
-            AblationPoint(
-                variant=variant,
-                mean_delay_s=stats["mean_s"],
-                variance_s2=stats["variance_s2"],
-                p90_delay_s=stats["p90_s"],
-                average_degree=sum(degrees) / len(degrees),
-                average_path_length=sum(path_lengths) / len(path_lengths),
-            )
-        )
-    return points
+    return [AblationPoint(variant, tuple(cells)) for (variant, _), cells in grid]
 
 
 @dataclass(frozen=True)
@@ -202,21 +190,19 @@ def build_report(
     def rows(points: list[AblationPoint]) -> list[list[object]]:
         return [
             [
-                point.variant,
-                point.mean_delay_s * 1e3,
-                point.variance_s2 * 1e6,
-                point.p90_delay_s * 1e3,
-                point.average_degree,
-                point.average_path_length,
+                summary["variant"],
+                summary["mean_delay_s"] * 1e3,
+                summary["variance_s2"] * 1e6,
+                summary["p90_delay_s"] * 1e3,
+                summary["average_degree"],
+                summary["average_path_length"],
             ]
-            for point in points
+            for summary in (point.summary() for point in points)
         ]
 
     headers = ["variant", "mean_ms", "var_ms2", "p90_ms", "avg degree", "avg path len"]
     report.add_section("Verification-delay ablation", format_table(headers, rows(verification_points)))
     report.add_section("Long-link ablation", format_table(headers, rows(long_link_points)))
-    report.add_data("verification", verification_points)
-    report.add_data("long_links", long_link_points)
     return report
 
 
@@ -228,7 +214,7 @@ def summarize(outcome: AblationOutcome) -> dict[str, dict[str, float]]:
         ("long-links", outcome.long_links),
     ):
         for point in points:
-            summaries[f"{group}/{point.variant}"] = asdict(point)
+            summaries[f"{group}/{point.variant}"] = point.summary()
     return summaries
 
 

@@ -48,8 +48,8 @@ from repro.experiments.reporting import ExperimentReport
 from repro.experiments.results import ExperimentResult
 from repro.workloads.scenarios import validate_policy_name
 
-#: Driver modules imported (once, lazily) to populate the registry, in the
-#: order DESIGN.md indexes them — also the ``list`` display order.
+#: Driver modules imported (once, lazily) to populate the registry; their
+#: order is the index order ``list`` displays.
 DRIVER_MODULES = (
     "repro.experiments.fig3",
     "repro.experiments.fig4",
@@ -122,7 +122,7 @@ class ExperimentSpec:
 
     Attributes:
         name: registry key (the CLI ``run <name>`` argument).
-        experiment_id: DESIGN.md index id (``"Fig. 3"``, ``"Ext-6"``, ...).
+        experiment_id: index id (``"Fig. 3"``, ``"Ext-6"``, ...).
         title: one-line description shown by ``list``.
         description: longer help shown by ``describe``.
         protocols: protocol labels the experiment compares (validated at
@@ -133,6 +133,8 @@ class ExperimentSpec:
             :class:`~repro.experiments.reporting.ExperimentReport`.
         summarize: extracts JSON-safe per-label scalar summaries from the
             payload (feeds ``ExperimentResult.summaries`` and run diffs).
+            Defaults to :func:`summarize_each`, for payloads that map each
+            label to a pooled result with a ``summary()`` method.
         collect_samples: extracts a
             :class:`~repro.analysis.samples.SampleLog` of raw measurement
             series from the payload (feeds ``ExperimentResult.samples``, the
@@ -241,7 +243,7 @@ def load_registry() -> None:
 
 
 def experiment_names() -> list[str]:
-    """All registered experiment names, in DESIGN.md index order.
+    """All registered experiment names, in index order.
 
     Registration order depends on which module happens to be imported first,
     so the display order is pinned to :data:`DRIVER_MODULES` instead;
@@ -300,6 +302,11 @@ def resolve_options(
         else:
             kwargs[option.kwarg or dest] = value
     return config, kwargs
+
+
+def summarize_each(payload: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
+    """The default ``summarize``: each pooled result's own ``summary()``."""
+    return {key: value.summary() for key, value in payload.items()}
 
 
 def run_experiment(
@@ -369,7 +376,8 @@ def run_experiment(
     if spec.report is not None:
         report = spec.report(payload)
         sections = list(report.sections)
-    summaries = spec.summarize(payload) if spec.summarize is not None else {}
+    summarize = spec.summarize if spec.summarize is not None else summarize_each
+    summaries = summarize(payload)
     samples: dict[str, Any] = {}
     if spec.collect_samples is not None:
         sample_log = spec.collect_samples(payload)

@@ -60,7 +60,7 @@ Run via ``python -m repro.experiments run attacks [--attacks ...]``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -69,7 +69,7 @@ from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.adversary import SelfishMiner
 from repro.protocol.mining import MinerProfile, MiningProcess, equal_hash_power
@@ -92,111 +92,96 @@ DYNAMIC_ATTACKS = ("byzantine", "representatives", "delay", "eclipse", "selfish"
 
 
 @dataclass(frozen=True)
-class EclipseResult:
-    """Outcome of one eclipse scenario."""
+class EclipseResult(SeedCells):
+    """Outcome of one eclipse scenario: a view over its per-seed
+    :class:`EclipseJobResult` cells."""
 
     protocol: str
     adversary_fraction: float
-    victim_connection_count: int
-    adversarial_connection_count: int
+    cells: tuple["EclipseJobResult", ...]
 
-    @property
-    def eclipsed_fraction(self) -> float:
-        """Share of the victim's connections controlled by the adversary."""
-        if self.victim_connection_count == 0:
-            return 0.0
-        return self.adversarial_connection_count / self.victim_connection_count
+    def summary(self) -> dict[str, object]:
+        """Victim connections summed over seeds and the adversary's share,
+        in report column order."""
+        victim = self.total("victim_connection_count")
+        adversarial = self.total("adversarial_connection_count")
+        return {
+            "protocol": self.protocol,
+            "adversary_fraction": self.adversary_fraction,
+            "victim_connection_count": victim,
+            "adversarial_connection_count": adversarial,
+            # Share of the victim's connections controlled by the adversary.
+            "eclipsed_fraction": adversarial / victim if victim else 0.0,
+        }
 
 
 @dataclass(frozen=True)
-class PartitionResult:
-    """Outcome of one partition scenario."""
+class PartitionResult(SeedCells):
+    """Outcome of one partition scenario: a view over its per-seed
+    :class:`PartitionJobResult` cells."""
 
     protocol: str
-    target_group_size: int
-    boundary_links: int
-    total_links: int
-    partition_achieved: bool
-    largest_component_fraction: float
+    cells: tuple["PartitionJobResult", ...]
 
-    @property
-    def boundary_fraction(self) -> float:
-        """Share of all links the adversary must sever."""
-        if self.total_links == 0:
-            return 0.0
-        return self.boundary_links / self.total_links
+    def summary(self) -> dict[str, object]:
+        """Per-seed means (counts floored), and whether any seed's target
+        group could be cut off, in report column order."""
+        count = len(self.cells)
+        boundary_links = self.total("boundary_links") // count
+        total_links = self.total("total_links") // count
+        return {
+            "protocol": self.protocol,
+            "target_group_size": self.total("target_group_size") // count,
+            "boundary_links": boundary_links,
+            "total_links": total_links,
+            # Share of all links the adversary must sever.
+            "boundary_fraction": boundary_links / total_links if total_links else 0.0,
+            "partition_achieved": any(cell.partition_achieved for cell in self.cells),
+            "largest_component_fraction": self.total("largest_component_fraction") / count,
+        }
 
 
 @dataclass(frozen=True)
-class DynamicAttackResult:
+class DynamicAttackResult(SeedCells):
     """Pooled dynamic outcomes for one (attack, protocol) cell.
 
-    Carries plain values only (tuples of floats, never live distribution
-    objects), so two payloads produced at different worker counts compare
+    A view over the cell's per-seed :class:`AttackJobResult` cells.  The
+    cells carry plain values only (tuples of floats, ``None`` for unmeasured
+    revenue), so two payloads produced at different worker counts compare
     equal field-by-field — the invariance the registry tests assert.
-
-    Attributes:
-        attack: attack kind (``"none"`` is the honest baseline).
-        protocol: neighbour-selection policy under test.
-        delay_samples: block Δt samples pooled across seeds, in merge order.
-        per_seed: ``(seed, samples)`` pairs in seed order.
-        blocks_measured: publicly propagated blocks tracked across seeds.
-        coverages: per-seed mean fraction of nodes reached per block.
-        victim_coverages: per-seed fraction of measured blocks that reached
-            the observation victim within the horizon.
-        byzantine_counts: per-seed number of corrupted nodes.
-        messages_suppressed: messages silently dropped by behaviours, summed.
-        blocks_withheld / blocks_released / races_started: selfish-mining
-            state-machine counters, summed across seeds.
-        revenue_shares: per-seed attacker revenue share (None when the cell
-            has no selfish miner or no mined blocks landed).
-        attacker_hashpower: the selfish miner's α (0.0 for other attacks).
     """
 
     attack: str
     protocol: str
-    delay_samples: tuple[float, ...]
-    per_seed: tuple[tuple[int, tuple[float, ...]], ...]
-    blocks_measured: int
-    coverages: tuple[float, ...]
-    victim_coverages: tuple[float, ...]
-    byzantine_counts: tuple[int, ...]
-    messages_suppressed: int
-    blocks_withheld: int
-    blocks_released: int
-    races_started: int
-    revenue_shares: tuple[Optional[float], ...]
-    attacker_hashpower: float
+    cells: tuple["AttackJobResult", ...]
 
     @property
     def label(self) -> str:
         """The combined ``attack/protocol`` result key."""
         return f"{self.attack}/{self.protocol}"
 
+    @property
+    def attacker_hashpower(self) -> float:
+        """The selfish miner's α (0.0 for other attacks)."""
+        return self.cells[-1].attacker_hashpower
+
     def mean_delay(self) -> float:
         """Mean block Δt across the pooled samples (NaN when unmeasured)."""
-        if not self.delay_samples:
-            return float("nan")
-        return mean(self.delay_samples)
+        samples = self.pooled("block_delay_samples")
+        return mean(samples) if samples else float("nan")
 
     def mean_coverage(self) -> float:
         """Mean per-block node coverage across seeds."""
-        if not self.coverages:
-            return 0.0
-        return mean(self.coverages)
+        return mean([cell.coverage for cell in self.cells])
 
     def mean_victim_coverage(self) -> float:
         """Mean fraction of blocks that reached the victim across seeds."""
-        if not self.victim_coverages:
-            return 0.0
-        return mean(self.victim_coverages)
+        return mean([cell.victim_coverage for cell in self.cells])
 
     def mean_revenue_share(self) -> float:
         """Mean attacker revenue share across seeds (unmeasured seeds skipped)."""
-        shares = [s for s in self.revenue_shares if s is not None]
-        if not shares:
-            return float("nan")
-        return mean(shares)
+        shares = [cell.revenue_share for cell in self.cells if cell.revenue_share is not None]
+        return mean(shares) if shares else float("nan")
 
     def summary(self) -> dict[str, float]:
         """Scalar summary for the result envelope.
@@ -206,16 +191,16 @@ class DynamicAttackResult:
         not equality, so it would break the envelope round-trip contract.
         """
         summary = {
-            "count": float(len(self.delay_samples)),
+            "count": float(len(self.pooled("block_delay_samples"))),
             "mean_delay_s": self.mean_delay(),
-            "blocks_measured": float(self.blocks_measured),
+            "blocks_measured": float(self.total("blocks_measured")),
             "mean_coverage": self.mean_coverage(),
             "mean_victim_coverage": self.mean_victim_coverage(),
-            "byzantine_count": float(sum(self.byzantine_counts)),
-            "messages_suppressed": float(self.messages_suppressed),
-            "blocks_withheld": float(self.blocks_withheld),
-            "blocks_released": float(self.blocks_released),
-            "races_started": float(self.races_started),
+            "byzantine_count": float(sum(len(cell.byzantine_nodes) for cell in self.cells)),
+            "messages_suppressed": float(self.total("messages_suppressed")),
+            "blocks_withheld": float(self.total("blocks_withheld")),
+            "blocks_released": float(self.total("blocks_released")),
+            "races_started": float(self.total("races_started")),
             "revenue_share": self.mean_revenue_share(),
             "attacker_hashpower": self.attacker_hashpower,
         }
@@ -253,7 +238,7 @@ class EclipseJob:
 
 @dataclass(frozen=True)
 class EclipseJobResult:
-    """Per-(protocol, seed) eclipse counters merged by the attacks driver."""
+    """Per-(protocol, seed) eclipse counters pooled by the attacks driver."""
 
     protocol: str
     seed: int
@@ -311,17 +296,7 @@ def run_eclipse(
         )
 
     grid = run_seed_grid(protocols, make_job, run_eclipse_seed, cfg)
-    return [
-        EclipseResult(
-            protocol=protocol,
-            adversary_fraction=adversary_fraction,
-            victim_connection_count=sum(r.victim_connection_count for r in seed_results),
-            adversarial_connection_count=sum(
-                r.adversarial_connection_count for r in seed_results
-            ),
-        )
-        for protocol, seed_results in grid
-    ]
+    return [EclipseResult(protocol, adversary_fraction, tuple(cells)) for protocol, cells in grid]
 
 
 @dataclass(frozen=True)
@@ -335,7 +310,7 @@ class PartitionJob:
 
 @dataclass(frozen=True)
 class PartitionJobResult:
-    """Per-(protocol, seed) partition counters merged by the attacks driver."""
+    """Per-(protocol, seed) partition counters pooled by the attacks driver."""
 
     protocol: str
     seed: int
@@ -394,23 +369,7 @@ def run_partition(
         return PartitionJob(protocol=protocol, seed=seed, config=cfg)
 
     grid = run_seed_grid(protocols, make_job, run_partition_seed, cfg)
-    results: list[PartitionResult] = []
-    for protocol, seed_results in grid:
-        count = len(seed_results)
-        results.append(
-            PartitionResult(
-                protocol=protocol,
-                target_group_size=sum(r.target_group_size for r in seed_results) // count,
-                boundary_links=sum(r.boundary_links for r in seed_results) // count,
-                total_links=sum(r.total_links for r in seed_results) // count,
-                partition_achieved=any(r.partition_achieved for r in seed_results),
-                largest_component_fraction=sum(
-                    r.largest_component_fraction for r in seed_results
-                )
-                / count,
-            )
-        )
-    return results
+    return [PartitionResult(protocol, tuple(cells)) for protocol, cells in grid]
 
 
 def _target_group(scenario: Scenario) -> set[int]:
@@ -463,7 +422,7 @@ class AttackJob:
 
 @dataclass(frozen=True)
 class AttackJobResult:
-    """Per-(attack, protocol, seed) dynamic outcomes merged by the driver.
+    """Per-(attack, protocol, seed) dynamic outcomes pooled by the driver.
 
     Plain values only (tuples, never live distributions; ``None`` — not NaN,
     which breaks ``==`` across a pickle round trip — for unmeasured revenue),
@@ -692,50 +651,10 @@ def run_dynamic_attacks(
         )
 
     grid = run_seed_grid(points, make_job, run_attack_seed, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, DynamicAttackResult] = {}
-    for (attack, protocol), seed_results in grid:
-        pooled: list[float] = []
-        per_seed: list[tuple[int, tuple[float, ...]]] = []
-        coverages: list[float] = []
-        victim_coverages: list[float] = []
-        byzantine_counts: list[int] = []
-        revenue_shares: list[float] = []
-        blocks_measured = 0
-        messages_suppressed = 0
-        blocks_withheld = blocks_released = races_started = 0
-        hashpower = 0.0
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            pooled.extend(job_result.block_delay_samples)
-            per_seed.append((seed, job_result.block_delay_samples))
-            coverages.append(job_result.coverage)
-            victim_coverages.append(job_result.victim_coverage)
-            byzantine_counts.append(len(job_result.byzantine_nodes))
-            revenue_shares.append(job_result.revenue_share)
-            blocks_measured += job_result.blocks_measured
-            messages_suppressed += job_result.messages_suppressed
-            blocks_withheld += job_result.blocks_withheld
-            blocks_released += job_result.blocks_released
-            races_started += job_result.races_started
-            hashpower = job_result.attacker_hashpower
-        results[f"{attack}/{protocol}"] = DynamicAttackResult(
-            attack=attack,
-            protocol=protocol,
-            delay_samples=tuple(pooled),
-            per_seed=tuple(per_seed),
-            blocks_measured=blocks_measured,
-            coverages=tuple(coverages),
-            victim_coverages=tuple(victim_coverages),
-            byzantine_counts=tuple(byzantine_counts),
-            messages_suppressed=messages_suppressed,
-            blocks_withheld=blocks_withheld,
-            blocks_released=blocks_released,
-            races_started=races_started,
-            revenue_shares=tuple(revenue_shares),
-            attacker_hashpower=hashpower,
-        )
-    return results
+    return {
+        f"{attack}/{protocol}": DynamicAttackResult(attack, protocol, tuple(cells))
+        for (attack, protocol), cells in grid
+    }
 
 
 def _cell_mean_delay(dynamic: dict[str, DynamicAttackResult], key: str) -> float:
@@ -821,7 +740,7 @@ def clustering_widens_eclipse_surface(
     vanilla = dynamic.get("eclipse/bitcoin")
     if bcbpt is None or vanilla is None:
         return False
-    if not bcbpt.blocks_measured or not vanilla.blocks_measured:
+    if not bcbpt.total("blocks_measured") or not vanilla.total("blocks_measured"):
         return False
     return bcbpt.mean_victim_coverage() <= vanilla.mean_victim_coverage()
 
@@ -873,16 +792,7 @@ def build_report(
         "Eclipse: adversarial share of the victim's connections",
         format_table(
             ["protocol", "adversary frac", "victim conns", "adversarial", "eclipsed frac"],
-            [
-                [
-                    r.protocol,
-                    r.adversary_fraction,
-                    r.victim_connection_count,
-                    r.adversarial_connection_count,
-                    r.eclipsed_fraction,
-                ]
-                for r in eclipse_results
-            ],
+            [list(r.summary().values()) for r in eclipse_results],
         ),
     )
     report.add_section(
@@ -897,18 +807,7 @@ def build_report(
                 "partition achieved",
                 "largest comp frac",
             ],
-            [
-                [
-                    r.protocol,
-                    r.target_group_size,
-                    r.boundary_links,
-                    r.total_links,
-                    r.boundary_fraction,
-                    r.partition_achieved,
-                    r.largest_component_fraction,
-                ]
-                for r in partition_results
-            ],
+            [list(r.summary().values()) for r in partition_results],
         ),
     )
     if dynamic:
@@ -928,12 +827,12 @@ def build_report(
                 [
                     [
                         key,
-                        len(result.delay_samples),
+                        len(result.pooled("block_delay_samples")),
                         result.mean_delay() * 1e3,
                         result.mean_coverage(),
                         result.mean_victim_coverage(),
-                        result.messages_suppressed,
-                        result.blocks_withheld,
+                        result.total("messages_suppressed"),
+                        result.total("blocks_withheld"),
                         result.mean_revenue_share(),
                     ]
                     for key, result in dynamic.items()
@@ -956,10 +855,6 @@ def build_report(
                     ["attack/protocol", "Δt ratio", "coverage loss"], degradation_rows
                 ),
             )
-    report.add_data("eclipse", eclipse_results)
-    report.add_data("partition", partition_results)
-    if dynamic is not None:
-        report.add_data("dynamic", dynamic)
     return report
 
 
@@ -971,15 +866,9 @@ def summarize(outcome: AttackOutcome) -> dict[str, dict[str, float]]:
     """Per-protocol scalar summaries for the result envelope."""
     summaries: dict[str, dict[str, float]] = {}
     for result in outcome.eclipse:
-        summaries[f"eclipse/{result.protocol}"] = {
-            **asdict(result),
-            "eclipsed_fraction": result.eclipsed_fraction,
-        }
+        summaries[f"eclipse/{result.protocol}"] = result.summary()
     for result in outcome.partition:
-        summaries[f"partition/{result.protocol}"] = {
-            **asdict(result),
-            "boundary_fraction": result.boundary_fraction,
-        }
+        summaries[f"partition/{result.protocol}"] = result.summary()
     for key, dynamic_result in outcome.dynamic.items():
         cell = dynamic_result.summary()
         degradation = degradation_ratio(
@@ -999,20 +888,15 @@ def summarize(outcome: AttackOutcome) -> dict[str, dict[str, float]]:
 def collect_samples(outcome: AttackOutcome) -> SampleLog:
     """Raw block-Δt samples per dynamic cell for the envelope.
 
-    One ``block_delay_s`` series per (attack/protocol, seed) in merge order,
+    One ``block_delay_s`` series per (attack/protocol, seed) in seed order,
     plus the per-seed coverage curve — worker-count invariant like every
     other sample capture built on the seed grid.
     """
     log = SampleLog()
     for key, result in outcome.dynamic.items():
-        log.add_per_seed(
-            key,
-            "block_delay_s",
-            {seed: list(samples) for seed, samples in result.per_seed},
-            unit="s",
-        )
-        for index, coverage in enumerate(result.coverages):
-            log.add_point(key, "coverage", float(index), coverage, unit="fraction")
+        log.add_per_seed(key, "block_delay_s", result.by_seed("block_delay_samples"), unit="s")
+        for index, cell in enumerate(result.cells):
+            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
     return log
 
 

@@ -17,7 +17,7 @@ scenario's :class:`~repro.workloads.scenarios.ChurnSchedule`, and reports
   bridge links created).
 
 (protocol, level, seed) campaigns are independent simulations; they fan out
-over the shared seed-grid executor and merge in submission order, so
+over the shared seed-grid executor and pool in submission order, so
 aggregates are identical for every worker count.
 
 Run from the command line::
@@ -28,14 +28,14 @@ Run from the command line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import select_measuring_nodes
 from repro.measurement.measuring_node import MeasuringNode
@@ -71,71 +71,51 @@ CHURN_LEVELS: dict[str, Optional[ChurnSchedule]] = {
 }
 
 
-@dataclass
-class ChurnResilienceResult:
+@dataclass(frozen=True)
+class ChurnResilienceResult(SeedCells):
     """Pooled measurements for one (protocol, churn level) pair.
 
-    Attributes:
-        protocol: policy label.
-        level: churn-intensity label.
-        delays: Δt samples pooled across seeds and measuring nodes.
-        per_seed: Δt distribution per master seed.
-        coverages: per-campaign fraction of connections reached.
-        timed_out_receptions: connections that never received a measured
-            transaction within the run horizon (churned away mid-run).
-        failed_runs: repetitions abandoned because the measuring node had no
-            connections at send time (heavy churn starved it momentarily).
-        join_events / leave_events: churn volume over all seeds.
-        repair_sweeps / orphans_reassigned / representatives_replaced /
-            bridges_created: maintenance work over all seeds.
-        cluster_before / cluster_after: per-seed cluster summaries at build
-            time and after the campaign.
+    A view over the pair's per-seed :class:`ChurnJobResult` cells: Δt
+    samples, coverage, churn volume, repair work and cluster drift are
+    pooled from ``cells`` where they are read.
     """
 
     protocol: str
     level: str
-    delays: DelayDistribution = field(default_factory=DelayDistribution)
-    per_seed: dict[int, DelayDistribution] = field(default_factory=dict)
-    coverages: list[float] = field(default_factory=list)
-    timed_out_receptions: int = 0
-    failed_runs: int = 0
-    join_events: int = 0
-    leave_events: int = 0
-    repair_sweeps: int = 0
-    orphans_reassigned: int = 0
-    representatives_replaced: int = 0
-    bridges_created: int = 0
-    cluster_before: dict[int, dict[str, float]] = field(default_factory=dict)
-    cluster_after: dict[int, dict[str, float]] = field(default_factory=dict)
+    cells: tuple["ChurnJobResult", ...]
 
     @property
     def label(self) -> str:
         """The combined ``protocol/level`` result key."""
         return f"{self.protocol}/{self.level}"
 
-    def summary(self) -> dict[str, float]:
-        """Summary statistics of the pooled Δt distribution (``{"count": 0.0}``
-        when heavy churn left no samples at all)."""
-        if not self.delays:
-            return {"count": 0.0}
-        return self.delays.summary()
+    @property
+    def delays(self) -> DelayDistribution:
+        """Δt samples pooled across seeds and measuring nodes."""
+        return DelayDistribution(self.pooled("delay_samples"))
 
-    def mean_coverage(self) -> float:
-        """Mean fraction of measured connections that received the payment."""
-        if not self.coverages:
-            return 0.0
-        return mean(self.coverages)
+    def summary(self) -> dict[str, float]:
+        """Scalar summary for the result envelope: the pooled Δt distribution
+        (only ``count`` when heavy churn left no samples at all), coverage,
+        churn volume and cluster drift."""
+        delays = self.delays
+        coverages = self.pooled("coverages")
+        return {
+            **(delays.summary() if delays else {"count": 0.0}),
+            "mean_coverage": mean(coverages) if coverages else 0.0,
+            "leave_events": float(self.total("leave_events")),
+            "join_events": float(self.total("join_events")),
+            **self.cluster_drift(),
+        }
 
     def cluster_drift(self) -> dict[str, float]:
         """Mean absolute drift of cluster count / size across the run."""
+        after = self.by_seed("cluster_after")
         count_drift: list[float] = []
         size_drift: list[float] = []
-        for seed, before in self.cluster_before.items():
-            after = self.cluster_after.get(seed)
-            if after is None:
-                continue
-            count_drift.append(abs(after["cluster_count"] - before["cluster_count"]))
-            size_drift.append(abs(after["mean_size"] - before["mean_size"]))
+        for seed, before in self.by_seed("cluster_before").items():
+            count_drift.append(abs(after[seed]["cluster_count"] - before["cluster_count"]))
+            size_drift.append(abs(after[seed]["mean_size"] - before["mean_size"]))
         return {
             "cluster_count_drift": mean(count_drift) if count_drift else 0.0,
             "mean_size_drift": mean(size_drift) if size_drift else 0.0,
@@ -185,7 +165,7 @@ class ChurnResilienceJob:
 
 @dataclass(frozen=True)
 class ChurnJobResult:
-    """Everything the churn-resilience merge reads from one campaign."""
+    """Everything the churn-resilience driver pools from one campaign."""
 
     protocol: str
     level: str
@@ -278,21 +258,98 @@ def run_churn_seed(job: ChurnResilienceJob) -> ChurnJobResult:
 def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
     """Raw Δt samples for the envelope's ``samples`` field.
 
-    One ``delay_s`` series per (protocol/level, seed) — the merge's insertion
-    order, so the pooled concatenation is worker-count invariant — plus the
-    per-campaign ``coverage`` curve.
+    One ``delay_s`` series per (protocol/level, seed) in seed order, so the
+    pooled concatenation is worker-count invariant — plus the per-campaign
+    ``coverage`` curve.
     """
     log = SampleLog()
     for key, result in results.items():
-        log.add_per_seed(
-            key,
-            "delay_s",
-            {seed: dist.samples for seed, dist in result.per_seed.items()},
-            unit="s",
-        )
-        for index, coverage in enumerate(result.coverages):
+        log.add_per_seed(key, "delay_s", result.by_seed("delay_samples"), unit="s")
+        for index, coverage in enumerate(result.pooled("coverages")):
             log.add_point(key, "coverage", float(index), coverage, unit="fraction")
     return log
+
+
+def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
+    """Turn churn-resilience results into a structured text report."""
+    report = ExperimentReport(
+        experiment_id="Ext-6",
+        description="Propagation delay and cluster quality under live join/leave churn",
+    )
+    summaries = {key: result.summary() for key, result in results.items()}
+    delay_rows = [
+        [
+            key,
+            int(summaries[key]["count"]),
+            summaries[key].get("mean_s", float("nan")) * 1e3,
+            summaries[key].get("variance_s2", float("nan")) * 1e6,
+            summaries[key]["mean_coverage"],
+            result.total("timed_out_receptions"),
+        ]
+        for key, result in results.items()
+    ]
+    report.add_section(
+        "Δt under churn (ms / ms²)",
+        format_table(
+            ["protocol/level", "samples", "mean", "variance", "coverage", "timeouts"],
+            delay_rows,
+        ),
+    )
+    churn_rows = [
+        [key]
+        + [
+            result.total(name)
+            for name in (
+                "leave_events",
+                "join_events",
+                "orphans_reassigned",
+                "representatives_replaced",
+                "bridges_created",
+            )
+        ]
+        + [summaries[key]["cluster_count_drift"], summaries[key]["mean_size_drift"]]
+        for key, result in results.items()
+    ]
+    report.add_section(
+        "Churn volume and cluster maintenance",
+        format_table(
+            [
+                "protocol/level",
+                "leaves",
+                "joins",
+                "orphans rehomed",
+                "reps replaced",
+                "bridges",
+                "cluster# drift",
+                "size drift",
+            ],
+            churn_rows,
+        ),
+    )
+    return report
+
+
+def clustering_survives_churn(results: dict[str, ChurnResilienceResult]) -> bool:
+    """The headline check: BCBPT still beats vanilla Bitcoin under churn.
+
+    Compares pooled mean Δt at the heaviest dynamic level present for both
+    protocols — "heaviest" judged by the churn volume actually observed
+    (leave events), not by the order the levels were listed in.
+    """
+    levels = [key.split("/", 1)[1] for key in results if key.startswith("bcbpt/")]
+
+    def leaves(lvl: str) -> int:
+        return sum(results[f"{p}/{lvl}"].total("leave_events") for p in ("bcbpt", "bitcoin"))
+
+    dynamic = [lvl for lvl in levels if f"bitcoin/{lvl}" in results and leaves(lvl) > 0]
+    if not dynamic:
+        return False
+    level = max(dynamic, key=leaves)
+    bcbpt = results[f"bcbpt/{level}"].summary()
+    bitcoin = results[f"bitcoin/{level}"].summary()
+    if "mean_s" not in bcbpt or "mean_s" not in bitcoin:
+        return False
+    return bcbpt["mean_s"] < bitcoin["mean_s"]
 
 
 # ------------------------------------------------------------------- driver
@@ -321,16 +378,9 @@ def collect_samples(results: dict[str, ChurnResilienceResult]) -> SampleLog:
             convert=tuple,
         ),
     ),
-    report=lambda results: build_report(results),
-    summarize=lambda results: {
-        key: {**result.summary(), "mean_coverage": result.mean_coverage(),
-              "leave_events": float(result.leave_events),
-              "join_events": float(result.join_events),
-              **result.cluster_drift()}
-        for key, result in results.items()
-    },
+    report=build_report,
     collect_samples=collect_samples,
-    verdicts={"clustering_survives_churn": lambda results: clustering_survives_churn(results)},
+    verdicts={"clustering_survives_churn": clustering_survives_churn},
 )
 def run_churn_resilience(
     config: Optional[ExperimentConfig] = None,
@@ -371,117 +421,7 @@ def run_churn_resilience(
         )
 
     grid = run_seed_grid(points, make_job, run_churn_seed, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, ChurnResilienceResult] = {}
-    for (protocol, level, _), seed_results in grid:
-        key = f"{protocol}/{level}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = ChurnResilienceResult(protocol=protocol, level=level)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            seed_delays = DelayDistribution(list(job_result.delay_samples))
-            pooled.delays = pooled.delays.merge(seed_delays)
-            pooled.per_seed[seed] = seed_delays
-            pooled.coverages.extend(job_result.coverages)
-            pooled.timed_out_receptions += job_result.timed_out_receptions
-            pooled.failed_runs += job_result.failed_runs
-            pooled.join_events += job_result.join_events
-            pooled.leave_events += job_result.leave_events
-            pooled.repair_sweeps += job_result.repair_sweeps
-            pooled.orphans_reassigned += job_result.orphans_reassigned
-            pooled.representatives_replaced += job_result.representatives_replaced
-            pooled.bridges_created += job_result.bridges_created
-            pooled.cluster_before[seed] = job_result.cluster_before
-            pooled.cluster_after[seed] = job_result.cluster_after
-    return results
-
-
-def build_report(results: dict[str, ChurnResilienceResult]) -> ExperimentReport:
-    """Turn churn-resilience results into a structured text report."""
-    report = ExperimentReport(
-        experiment_id="Ext-6",
-        description="Propagation delay and cluster quality under live join/leave churn",
-    )
-    delay_rows = []
-    for key, result in results.items():
-        summary = result.summary()
-        delay_rows.append(
-            [
-                key,
-                len(result.delays),
-                summary.get("mean_s", float("nan")) * 1e3,
-                summary.get("variance_s2", float("nan")) * 1e6,
-                result.mean_coverage(),
-                result.timed_out_receptions,
-            ]
-        )
-    report.add_section(
-        "Δt under churn (ms / ms²)",
-        format_table(
-            ["protocol/level", "samples", "mean", "variance", "coverage", "timeouts"],
-            delay_rows,
-        ),
-    )
-    churn_rows = []
-    for key, result in results.items():
-        drift = result.cluster_drift()
-        churn_rows.append(
-            [
-                key,
-                result.leave_events,
-                result.join_events,
-                result.orphans_reassigned,
-                result.representatives_replaced,
-                result.bridges_created,
-                drift["cluster_count_drift"],
-                drift["mean_size_drift"],
-            ]
-        )
-    report.add_section(
-        "Churn volume and cluster maintenance",
-        format_table(
-            [
-                "protocol/level",
-                "leaves",
-                "joins",
-                "orphans rehomed",
-                "reps replaced",
-                "bridges",
-                "cluster# drift",
-                "size drift",
-            ],
-            churn_rows,
-        ),
-    )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
-    return report
-
-
-def clustering_survives_churn(results: dict[str, ChurnResilienceResult]) -> bool:
-    """The headline check: BCBPT still beats vanilla Bitcoin under churn.
-
-    Compares pooled mean Δt at the heaviest dynamic level present for both
-    protocols — "heaviest" judged by the churn volume actually observed
-    (leave events), not by the order the levels were listed in.
-    """
-    levels = [key.split("/", 1)[1] for key in results if key.startswith("bcbpt/")]
-    dynamic = [
-        lvl
-        for lvl in levels
-        if f"bitcoin/{lvl}" in results
-        and results[f"bcbpt/{lvl}"].leave_events + results[f"bitcoin/{lvl}"].leave_events > 0
-    ]
-    if not dynamic:
-        return False
-    level = max(
-        dynamic,
-        key=lambda lvl: results[f"bcbpt/{lvl}"].leave_events
-        + results[f"bitcoin/{lvl}"].leave_events,
-    )
-    bcbpt = results[f"bcbpt/{level}"].summary()
-    bitcoin = results[f"bitcoin/{level}"].summary()
-    if "mean_s" not in bcbpt or "mean_s" not in bitcoin:
-        return False
-    return bcbpt["mean_s"] < bitcoin["mean_s"]
+    return {
+        f"{protocol}/{level}": ChurnResilienceResult(protocol, level, tuple(cells))
+        for (protocol, level, _), cells in grid
+    }

@@ -23,12 +23,12 @@ Run via ``python -m repro.experiments run doublespend [--races N --horizon S]``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.doublespend import DoubleSpendAttacker, merchant_detection, tally_first_seen
 from repro.protocol.messages import TxMessage
@@ -52,99 +52,28 @@ def mean_detection_time_s(detection_times_s: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class DoubleSpendPoint:
-    """Aggregated race outcomes for one protocol."""
+class DoubleSpendPoint(SeedCells):
+    """Race outcomes for one protocol: a view over its per-seed
+    :class:`DoubleSpendJobResult` cells."""
 
     protocol: str
-    races: int
-    mean_attacker_share: float
-    mean_detection_time_s: float
-    detection_rate: float
+    cells: tuple["DoubleSpendJobResult", ...]
 
     def __post_init__(self) -> None:
-        if self.races <= 0:
+        if self.total("races") <= 0:
             raise ValueError("a double-spend point needs at least one race")
 
-
-@experiment(
-    "doublespend",
-    experiment_id="Ext-4",
-    title="Double-spend race outcomes (first-seen shares and detection)",
-    description=__doc__,
-    protocols=DOUBLESPEND_PROTOCOLS,
-    options=(
-        ExperimentOption(
-            flag="--races",
-            dest="races_per_seed",
-            type=int,
-            help="races per seed (default: 5)",
-        ),
-        ExperimentOption(
-            flag="--horizon",
-            dest="race_horizon_s",
-            type=float,
-            help="race horizon in simulated seconds (default: 2.0)",
-        ),
-        ExperimentOption(
-            flag="--protocols",
-            dest="protocols",
-            type=str,
-            nargs="+",
-            help="protocols to evaluate (default: bitcoin lbc bcbpt)",
-            convert=tuple,
-            is_protocols=True,
-        ),
-    ),
-    report=lambda points: build_report(points),
-    summarize=lambda points: {p.protocol: asdict(p) for p in points},
-)
-def run_doublespend(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    races_per_seed: int = 5,
-    race_horizon_s: float = 2.0,
-    protocols: Sequence[str] = DOUBLESPEND_PROTOCOLS,
-) -> list[DoubleSpendPoint]:
-    """Stage repeated double-spend races under each protocol.
-
-    (protocol, seed) race batches are independent simulations; the shared
-    seed-grid executor fans them out over ``cfg.workers`` processes and
-    regroups in submission order, so the outcome is identical for every
-    worker count.
-    """
-    if races_per_seed <= 0:
-        raise ValueError("races_per_seed must be positive")
-    if race_horizon_s <= 0:
-        raise ValueError("race_horizon_s must be positive")
-    cfg = config if config is not None else ExperimentConfig()
-
-    def make_job(protocol: str, seed: int) -> DoubleSpendJob:
-        return DoubleSpendJob(
-            protocol=protocol,
-            seed=seed,
-            races_per_seed=races_per_seed,
-            race_horizon_s=race_horizon_s,
-            config=cfg,
-        )
-
-    grid = run_seed_grid(protocols, make_job, run_doublespend_seed, cfg)
-
-    points: list[DoubleSpendPoint] = []
-    for protocol, seed_results in grid:
-        shares = [share for r in seed_results for share in r.attacker_shares]
-        detection_times = [t for r in seed_results for t in r.detection_times_s]
-        detections = sum(r.detections for r in seed_results)
-        races = sum(r.races for r in seed_results)
-        points.append(
-            DoubleSpendPoint(
-                protocol=protocol,
-                races=races,
-                mean_attacker_share=sum(shares) / len(shares) if shares else 0.0,
-                mean_detection_time_s=mean_detection_time_s(detection_times),
-                detection_rate=detections / races if races else 0.0,
-            )
-        )
-    return points
+    def summary(self) -> dict[str, object]:
+        """Races, mean attacker first-seen share, detection time and rate."""
+        shares = self.pooled("attacker_shares")
+        races = self.total("races")
+        return {
+            "protocol": self.protocol,
+            "races": races,
+            "mean_attacker_share": sum(shares) / len(shares) if shares else 0.0,
+            "mean_detection_time_s": mean_detection_time_s(self.pooled("detection_times_s")),
+            "detection_rate": self.total("detections") / races,
+        }
 
 
 @dataclass(frozen=True)
@@ -160,7 +89,7 @@ class DoubleSpendJob:
 
 @dataclass(frozen=True)
 class DoubleSpendJobResult:
-    """Per-(protocol, seed) race tallies, merged by the driver."""
+    """Per-(protocol, seed) race tallies, pooled by the driver."""
 
     protocol: str
     seed: int
@@ -261,15 +190,79 @@ def build_report(points: list[DoubleSpendPoint]) -> ExperimentReport:
             ["protocol", "races", "attacker share", "merchant detection rate", "mean detection s"],
             [
                 [
-                    p.protocol,
-                    p.races,
-                    p.mean_attacker_share,
-                    p.detection_rate,
-                    p.mean_detection_time_s,
+                    summary["protocol"],
+                    summary["races"],
+                    summary["mean_attacker_share"],
+                    summary["detection_rate"],
+                    summary["mean_detection_time_s"],
                 ]
-                for p in points
+                for summary in (point.summary() for point in points)
             ],
         ),
     )
-    report.add_data("points", points)
     return report
+
+
+@experiment(
+    "doublespend",
+    experiment_id="Ext-4",
+    title="Double-spend race outcomes (first-seen shares and detection)",
+    description=__doc__,
+    protocols=DOUBLESPEND_PROTOCOLS,
+    options=(
+        ExperimentOption(
+            flag="--races",
+            dest="races_per_seed",
+            type=int,
+            help="races per seed (default: 5)",
+        ),
+        ExperimentOption(
+            flag="--horizon",
+            dest="race_horizon_s",
+            type=float,
+            help="race horizon in simulated seconds (default: 2.0)",
+        ),
+        ExperimentOption(
+            flag="--protocols",
+            dest="protocols",
+            type=str,
+            nargs="+",
+            help="protocols to evaluate (default: bitcoin lbc bcbpt)",
+            convert=tuple,
+            is_protocols=True,
+        ),
+    ),
+    report=build_report,
+    summarize=lambda points: {point.protocol: point.summary() for point in points},
+)
+def run_doublespend(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    races_per_seed: int = 5,
+    race_horizon_s: float = 2.0,
+    protocols: Sequence[str] = DOUBLESPEND_PROTOCOLS,
+) -> list[DoubleSpendPoint]:
+    """Stage repeated double-spend races under each protocol.
+
+    (protocol, seed) race batches are independent simulations; the shared
+    seed-grid executor fans them out over ``cfg.workers`` processes and
+    regroups in submission order, so the outcome is identical for every
+    worker count.
+    """
+    if races_per_seed <= 0:
+        raise ValueError("races_per_seed must be positive")
+    if race_horizon_s <= 0:
+        raise ValueError("race_horizon_s must be positive")
+    cfg = config if config is not None else ExperimentConfig()
+
+    def make_job(protocol: str, seed: int) -> DoubleSpendJob:
+        return DoubleSpendJob(
+            protocol=protocol,
+            seed=seed,
+            races_per_seed=races_per_seed,
+            race_horizon_s=race_horizon_s,
+            config=cfg,
+        )
+
+    grid = run_seed_grid(protocols, make_job, run_doublespend_seed, cfg)
+    return [DoubleSpendPoint(protocol, tuple(cells)) for protocol, cells in grid]

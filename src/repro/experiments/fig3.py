@@ -34,7 +34,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
     )
     summaries = {name: result.summary() for name, result in results.items()}
     report.add_section("Delay summary", format_delay_summaries(summaries))
-    report.add_data("summaries", summaries)
 
     # The per-rank variance curve: the paper's observation that Bitcoin's
     # variance grows with the number of connected nodes while BCBPT's stays low.
@@ -52,7 +51,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
         "Variance of Δt by connection rank (ms²)",
         format_table(["rank"] + [f"{name}" for name in results], rank_rows),
     )
-    report.add_data("rank_variance", curves)
 
     # Cluster structure context for the clustered protocols.
     cluster_rows = []
@@ -67,7 +65,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
             "Cluster structure",
             format_table(["protocol", "seed", "clusters", "mean size", "max size"], cluster_rows),
         )
-    report.add_data("results", results)
     return report
 
 
@@ -81,11 +78,6 @@ def expected_ordering_holds(results: dict[str, PropagationResult]) -> bool:
     return mean_ok and variance_ok
 
 
-def summarize(results: dict[str, PropagationResult]) -> dict[str, dict[str, float]]:
-    """Per-protocol scalar summaries for the result envelope."""
-    return {name: result.summary() for name, result in results.items()}
-
-
 @experiment(
     "fig3",
     experiment_id="Fig. 3",
@@ -93,7 +85,6 @@ def summarize(results: dict[str, PropagationResult]) -> dict[str, dict[str, floa
     description=__doc__,
     protocols=FIG3_PROTOCOLS,
     report=build_report,
-    summarize=summarize,
     collect_samples=collect_propagation_samples,
     verdicts={"paper_ordering": expected_ordering_holds},
 )

@@ -24,8 +24,9 @@ from repro.experiments.runner import (
 
 
 def threshold_labels(thresholds_s: Sequence[float]) -> list[str]:
-    """Protocol labels of the form ``"bcbpt@30ms"`` for a threshold sweep."""
-    return [f"bcbpt@{round(t * 1000):g}ms" for t in thresholds_s]
+    """Protocol labels of the form ``"bcbpt@30ms"`` (``"bcbpt@25.5ms"``) for a
+    threshold sweep; each label names the threshold it runs."""
+    return [f"bcbpt@{t * 1000:g}ms" for t in thresholds_s]
 
 
 def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
@@ -36,7 +37,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
     )
     summaries = {name: result.summary() for name, result in results.items()}
     report.add_section("Delay summary by threshold", format_delay_summaries(summaries))
-    report.add_data("summaries", summaries)
 
     cluster_rows = []
     for name, result in results.items():
@@ -58,7 +58,6 @@ def build_report(results: dict[str, PropagationResult]) -> ExperimentReport:
             cluster_rows,
         ),
     )
-    report.add_data("results", results)
     return report
 
 
@@ -73,11 +72,6 @@ def _threshold_of(label: str) -> float:
     if "@" not in label or not label.endswith("ms"):
         raise ValueError(f"not a threshold label: {label!r}")
     return float(label.split("@", 1)[1][:-2])
-
-
-def summarize(results: dict[str, PropagationResult]) -> dict[str, dict[str, float]]:
-    """Per-threshold scalar summaries for the result envelope."""
-    return {name: result.summary() for name, result in results.items()}
 
 
 @experiment(
@@ -98,7 +92,6 @@ def summarize(results: dict[str, PropagationResult]) -> dict[str, dict[str, floa
         ),
     ),
     report=build_report,
-    summarize=summarize,
     collect_samples=collect_propagation_samples,
     verdicts={"variance_monotone": variance_is_monotone},
 )
@@ -106,4 +99,6 @@ def run_fig4(config: Optional[ExperimentConfig] = None) -> dict[str, Propagation
     """Execute the Fig. 4 threshold sweep and return per-threshold results."""
     cfg = config if config is not None else ExperimentConfig()
     labels = threshold_labels(cfg.fig4_thresholds_s)
-    return run_protocol_comparison(labels, cfg)
+    # Run the requested thresholds exactly, not as re-parsed from the labels.
+    thresholds = dict(zip(labels, cfg.fig4_thresholds_s))
+    return run_protocol_comparison(labels, cfg, thresholds=thresholds)

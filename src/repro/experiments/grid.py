@@ -39,6 +39,11 @@ experiment inherits pooled execution, checkpoint/resume and sharding for
 free; a driver called directly (tests, examples) gets an ephemeral default
 plan driven by ``config.workers``.
 
+Drivers pool each point's seed results through :class:`SeedCells`: the
+pooled result keeps the cells and derives every total, per-seed map and
+pooled sample series from them where it is read, so no driver carries a
+merge loop that mirrors its cell fields.
+
 Job specs must be picklable (frozen dataclasses of plain values) and
 ``job_fn`` must be a module-level callable, so both survive the trip
 through a process pool.  Each driver defines its own job/result dataclass
@@ -84,8 +89,17 @@ def run_seed_grid(
         serial ``for point: for seed:`` loop would produce.  Cells the plan
         did not produce (shard slice, cell budget) come back as the
         :data:`~repro.experiments.backends.MISSING` placeholder.
+
+    Raises:
+        ValueError: two sweep points are equal; the grid would run (and a
+            driver would pool) the same cells twice.
     """
     points = list(points)
+    for index, point in enumerate(points):
+        # ``in`` compares with ``==``: churn and ablation points hold dicts
+        # and schedules, which are not hashable.
+        if point in points[:index]:
+            raise ValueError(f"duplicate sweep point {point!r}")
     jobs = [make_job(point, seed) for point in points for seed in config.seeds]
     active = plan if plan is not None else current_plan()
     if active is None:
@@ -96,3 +110,28 @@ def run_seed_grid(
         (point, results[index * per_point : (index + 1) * per_point])
         for index, point in enumerate(points)
     ]
+
+
+class SeedCells:
+    """Mixin for a pooled result that is a view over its per-seed cells.
+
+    A subclass is a frozen dataclass whose ``cells`` field holds one sweep
+    point's cell results in ``config.seeds`` order, as :func:`run_seed_grid`
+    returns them.  Pooled figures are derived from the cells on read, so a
+    new cell field needs no merge code, and the result compares equal across
+    worker counts whenever its cells do.
+    """
+
+    cells: tuple
+
+    def total(self, name: str):
+        """One cell field summed over the seeds."""
+        return sum(getattr(cell, name) for cell in self.cells)
+
+    def by_seed(self, name: str) -> dict:
+        """One cell field per master seed."""
+        return {cell.seed: getattr(cell, name) for cell in self.cells}
+
+    def pooled(self, name: str) -> list:
+        """One sequence-valued cell field concatenated in seed order."""
+        return [value for cell in self.cells for value in getattr(cell, name)]

@@ -32,9 +32,10 @@ the highest offered load — i.e. whether the propagation advantage survives
 congestion instead of being an idle-network artefact.
 
 (policy, rate, seed) cells are independent simulations; they fan out over
-the shared seed-grid executor and merge in submission order.  Because the P² estimator state cannot be merged, every cell finalises
-its quantiles *inside* the worker and the driver aggregates per-seed scalars
-only — which is what keeps every aggregate identical for every worker count.
+the shared seed-grid executor and pool in submission order.  Because the
+P² estimator state cannot be merged, every cell finalises its quantiles
+*inside* the worker and the driver aggregates per-seed scalars only — which
+is what keeps every aggregate identical for every worker count.
 
 Run from the command line::
 
@@ -44,14 +45,14 @@ Run from the command line::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.protocol.mining import MiningProcess, equal_hash_power
 from repro.protocol.node import NodeConfig
@@ -111,80 +112,28 @@ SATURATION_BACKLOG_GROWTH = 1.5
 SATURATION_BACKLOG_FLOOR = 5.0
 
 
-@dataclass
-class LoadCellResult:
+@dataclass(frozen=True)
+class LoadCellResult(SeedCells):
     """Pooled measurements for one (protocol, offered rate) cell.
 
-    Every latency figure is the across-seed mean of a per-seed streamed
-    scalar (P² estimates finalised in the worker), never a pooled-sample
-    statistic — see the module docstring for why.
+    A view over the cell's per-seed :class:`LoadJobResult` cells.  Every
+    latency figure is the across-seed mean of a per-seed streamed scalar (P²
+    estimates finalised in the worker), never a pooled-sample statistic —
+    see the module docstring for why.
     """
 
     protocol: str
     offered_tps: float
-    seeds: list[int] = field(default_factory=list)
-    txs_generated: int = 0
-    generation_failures: int = 0
-    txs_confirmed: int = 0
-    pending_at_end: int = 0
-    p50_by_seed: dict[int, float] = field(default_factory=dict)
-    p99_by_seed: dict[int, float] = field(default_factory=dict)
-    mean_by_seed: dict[int, float] = field(default_factory=dict)
-    max_latency_s: float = 0.0
-    generated_tps_values: list[float] = field(default_factory=list)
-    confirmed_tps_values: list[float] = field(default_factory=list)
-    backlog_mid_values: list[int] = field(default_factory=list)
-    backlog_final_values: list[int] = field(default_factory=list)
-    backlog_curves: dict[int, tuple[tuple[float, int], ...]] = field(default_factory=dict)
-    blocks_mined: int = 0
-    full_blocks_mined: int = 0
-    total_fees_collected: int = 0
-    fee_evictions: int = 0
-    capacity_drops: int = 0
-    conflict_evictions: int = 0
-    events: int = 0
+    cells: tuple["LoadJobResult", ...]
 
-    def _seed_mean(self, by_seed: dict[int, float]) -> float:
-        values = [value for value in by_seed.values() if value == value]  # NaN-safe
+    def seed_mean(self, name: str) -> float:
+        """NaN-safe across-seed mean of one per-seed scalar."""
+        values = [value for value in self.by_seed(name).values() if value == value]
         return mean(values) if values else float("nan")
 
-    def p50_latency_s(self) -> float:
-        """Across-seed mean of the streamed p50 confirmation latency."""
-        return self._seed_mean(self.p50_by_seed)
-
-    def p99_latency_s(self) -> float:
-        """Across-seed mean of the streamed p99 confirmation latency."""
-        return self._seed_mean(self.p99_by_seed)
-
-    def mean_latency_s(self) -> float:
-        """Across-seed mean of the mean confirmation latency."""
-        return self._seed_mean(self.mean_by_seed)
-
-    def generated_tps(self) -> float:
-        """Mean achieved generation rate (tx/s) across seeds."""
-        return mean(self.generated_tps_values) if self.generated_tps_values else 0.0
-
-    def confirmed_tps(self) -> float:
-        """Mean confirmed throughput (tx/s) across seeds."""
-        return mean(self.confirmed_tps_values) if self.confirmed_tps_values else 0.0
-
-    def backlog_mid(self) -> float:
-        """Mean observer backlog halfway through the horizon."""
-        return mean([float(v) for v in self.backlog_mid_values]) if self.backlog_mid_values else 0.0
-
-    def backlog_final(self) -> float:
-        """Mean observer backlog at the end of the horizon."""
-        return (
-            mean([float(v) for v in self.backlog_final_values])
-            if self.backlog_final_values
-            else 0.0
-        )
-
-    def full_block_fraction(self) -> float:
-        """Fraction of mined blocks whose template hit the byte cap."""
-        if not self.blocks_mined:
-            return 0.0
-        return self.full_blocks_mined / self.blocks_mined
+    def cell_mean(self, name: str) -> float:
+        """Mean of one per-cell value (e.g. ``"confirmed_tps"``) across seeds."""
+        return mean([float(getattr(cell, name)) for cell in self.cells])
 
     def _window_means(self) -> list[tuple[float, float]]:
         """Per-seed (steady-window mean, final-window mean) of the backlog.
@@ -195,7 +144,7 @@ class LoadCellResult:
         out instead of masquerading as growth.
         """
         pairs = []
-        for curve in self.backlog_curves.values():
+        for curve in self.by_seed("backlog_curve").values():
             n = len(curve)
             if n < 4:
                 continue
@@ -220,7 +169,7 @@ class LoadCellResult:
 
     def pool_overflowed(self) -> bool:
         """Whether any mempool hit capacity (fee evictions or hard drops)."""
-        return (self.fee_evictions + self.capacity_drops) > 0
+        return (self.total("fee_evictions") + self.total("capacity_drops")) > 0
 
     def is_saturated(self) -> bool:
         """Whether this cell shows the saturation signature.
@@ -233,7 +182,7 @@ class LoadCellResult:
         merely-deep-but-draining queue trips the detector.
         """
         throughput_short = (
-            self.confirmed_tps() < SATURATION_THROUGHPUT_FRACTION * self.offered_tps
+            self.cell_mean("confirmed_tps") < SATURATION_THROUGHPUT_FRACTION * self.offered_tps
         )
         backlog_deep = self.backlog_late() >= SATURATION_BACKLOG_FLOOR
         backlog_stuck = (
@@ -243,27 +192,32 @@ class LoadCellResult:
 
     def summary(self) -> dict[str, float]:
         """Scalar summary for the result envelope."""
+        blocks = self.total("blocks_mined")
         return {
             "offered_tps": self.offered_tps,
-            "generated_tps": self.generated_tps(),
-            "confirmed_tps": self.confirmed_tps(),
-            "txs_generated": float(self.txs_generated),
-            "txs_confirmed": float(self.txs_confirmed),
-            "generation_failures": float(self.generation_failures),
-            "pending_at_end": float(self.pending_at_end),
-            "confirmation_p50_s": self.p50_latency_s(),
-            "confirmation_p99_s": self.p99_latency_s(),
-            "confirmation_mean_s": self.mean_latency_s(),
-            "confirmation_max_s": self.max_latency_s,
-            "backlog_mid": self.backlog_mid(),
-            "backlog_final": self.backlog_final(),
+            "generated_tps": self.cell_mean("generated_tps"),
+            "confirmed_tps": self.cell_mean("confirmed_tps"),
+            "txs_generated": float(self.total("txs_generated")),
+            "txs_confirmed": float(self.total("txs_confirmed")),
+            "generation_failures": float(self.total("generation_failures")),
+            "pending_at_end": float(self.total("pending_at_end")),
+            "confirmation_p50_s": self.seed_mean("confirmation_p50_s"),
+            "confirmation_p99_s": self.seed_mean("confirmation_p99_s"),
+            "confirmation_mean_s": self.seed_mean("confirmation_mean_s"),
+            "confirmation_max_s": max(
+                [0.0, *(cell.confirmation_max_s for cell in self.cells)]
+            ),
+            "backlog_mid": self.cell_mean("backlog_mid"),
+            "backlog_final": self.cell_mean("backlog_final"),
             "backlog_growth": self.backlog_growth(),
-            "blocks_mined": float(self.blocks_mined),
-            "full_block_fraction": self.full_block_fraction(),
-            "total_fees_collected": float(self.total_fees_collected),
-            "fee_evictions": float(self.fee_evictions),
-            "capacity_drops": float(self.capacity_drops),
-            "conflict_evictions": float(self.conflict_evictions),
+            "blocks_mined": float(blocks),
+            "full_block_fraction": (
+                self.total("full_blocks_mined") / blocks if blocks else 0.0
+            ),
+            "total_fees_collected": float(self.total("total_fees_collected")),
+            "fee_evictions": float(self.total("fee_evictions")),
+            "capacity_drops": float(self.total("capacity_drops")),
+            "conflict_evictions": float(self.total("conflict_evictions")),
             "saturated": float(self.is_saturated()),
         }
 
@@ -316,11 +270,11 @@ class LoadJob:
 
 @dataclass(frozen=True)
 class LoadJobResult:
-    """Per-(protocol, rate, seed) streamed tallies merged by the load driver.
+    """Per-(protocol, rate, seed) streamed tallies pooled by the load driver.
 
     Confirmation quantiles are P² streaming estimates finalised inside the
     worker (the estimator state cannot be merged), so the driver only ever
-    aggregates per-seed scalars — which is what makes the merge independent
+    aggregates per-seed scalars — which is what makes the pooling independent
     of worker count.
     """
 
@@ -486,7 +440,7 @@ def _cells_for(results: dict[str, LoadCellResult], protocol: str) -> list[LoadCe
 
 def confirms_at_every_rate(results: dict[str, LoadCellResult]) -> bool:
     """Every (protocol, rate) cell confirmed at least one transaction."""
-    return bool(results) and all(cell.txs_confirmed > 0 for cell in results.values())
+    return bool(results) and all(cell.total("txs_confirmed") > 0 for cell in results.values())
 
 
 def bcbpt_advantage_under_load(results: dict[str, LoadCellResult]) -> bool:
@@ -501,8 +455,8 @@ def bcbpt_advantage_under_load(results: dict[str, LoadCellResult]) -> bool:
     bcbpt_cells = _cells_for(results, "bcbpt")
     if not bitcoin_cells or not bcbpt_cells:
         return True
-    bitcoin_latency = bitcoin_cells[-1].mean_latency_s()
-    bcbpt_latency = bcbpt_cells[-1].mean_latency_s()
+    bitcoin_latency = bitcoin_cells[-1].seed_mean("confirmation_mean_s")
+    bcbpt_latency = bcbpt_cells[-1].seed_mean("confirmation_mean_s")
     if bitcoin_latency != bitcoin_latency or bcbpt_latency != bcbpt_latency:
         return False  # a frontier edge with no confirmations is a failure
     return bcbpt_latency <= bitcoin_latency * 1.05
@@ -536,20 +490,16 @@ def collect_samples(results: dict[str, LoadCellResult]) -> SampleLog:
     """
     log = SampleLog()
     for key, cell in results.items():
-        log.add_per_seed(
-            key,
-            "confirmation_p50_s",
-            {seed: [value] for seed, value in cell.p50_by_seed.items() if value == value},
-            unit="s",
-        )
-        log.add_per_seed(
-            key,
-            "confirmation_p99_s",
-            {seed: [value] for seed, value in cell.p99_by_seed.items() if value == value},
-            unit="s",
-        )
-        for seed in sorted(cell.backlog_curves):
-            for time_s, depth in cell.backlog_curves[seed]:
+        for metric in ("confirmation_p50_s", "confirmation_p99_s"):
+            log.add_per_seed(
+                key,
+                metric,
+                {seed: [value] for seed, value in cell.by_seed(metric).items() if value == value},
+                unit="s",
+            )
+        curves = cell.by_seed("backlog_curve")
+        for seed in sorted(curves):
+            for time_s, depth in curves[seed]:
                 log.add_point(key, "mempool_backlog", time_s, float(depth), unit="txs")
     return log
 
@@ -564,17 +514,18 @@ def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
     )
     rows = []
     for cell in sorted(results.values(), key=lambda c: (c.protocol, c.offered_tps)):
+        summary = cell.summary()
         rows.append(
             [
                 cell.protocol,
                 f"{cell.offered_tps:g}",
-                f"{cell.generated_tps():.3g}",
-                f"{cell.confirmed_tps():.3g}",
-                f"{cell.p50_latency_s():.4g}",
-                f"{cell.p99_latency_s():.4g}",
-                f"{cell.backlog_final():.4g}",
-                f"{cell.full_block_fraction():.2f}",
-                "yes" if cell.is_saturated() else "no",
+                f"{summary['generated_tps']:.3g}",
+                f"{summary['confirmed_tps']:.3g}",
+                f"{summary['confirmation_p50_s']:.4g}",
+                f"{summary['confirmation_p99_s']:.4g}",
+                f"{summary['backlog_final']:.4g}",
+                f"{summary['full_block_fraction']:.2f}",
+                "yes" if summary["saturated"] else "no",
             ]
         )
     report.add_section(
@@ -601,8 +552,6 @@ def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
         shown = f"{point:g} tx/s" if point is not None else "not reached in sweep"
         saturation_lines.append(f"{protocol}: {shown}")
     report.add_section("Saturation points", "\n".join(saturation_lines))
-    for protocol in protocols:
-        report.add_data(f"saturation_tps/{protocol}", saturation_point_tps(results, protocol))
     return report
 
 
@@ -680,8 +629,7 @@ def build_report(results: dict[str, LoadCellResult]) -> ExperimentReport:
             help="confirmed outputs funded per node before load starts (default: 8)",
         ),
     ),
-    report=lambda results: build_report(results),
-    summarize=lambda results: {key: cell.summary() for key, cell in results.items()},
+    report=build_report,
     collect_samples=collect_samples,
     verdicts={
         "confirms_at_every_rate": confirms_at_every_rate,
@@ -767,34 +715,7 @@ def run_load_frontier(
         )
 
     grid = run_seed_grid(points, make_job, run_load_seed, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, LoadCellResult] = {}
-    for (protocol, offered_tps), seed_results in grid:
-        key = cell_label(protocol, offered_tps)
-        cell = results.get(key)
-        if cell is None:
-            cell = results[key] = LoadCellResult(protocol=protocol, offered_tps=offered_tps)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            cell.seeds.append(seed)
-            cell.txs_generated += job_result.txs_generated
-            cell.generation_failures += job_result.generation_failures
-            cell.txs_confirmed += job_result.txs_confirmed
-            cell.pending_at_end += job_result.pending_at_end
-            cell.p50_by_seed[seed] = job_result.confirmation_p50_s
-            cell.p99_by_seed[seed] = job_result.confirmation_p99_s
-            cell.mean_by_seed[seed] = job_result.confirmation_mean_s
-            cell.max_latency_s = max(cell.max_latency_s, job_result.confirmation_max_s)
-            cell.generated_tps_values.append(job_result.generated_tps)
-            cell.confirmed_tps_values.append(job_result.confirmed_tps)
-            cell.backlog_mid_values.append(job_result.backlog_mid)
-            cell.backlog_final_values.append(job_result.backlog_final)
-            cell.backlog_curves[seed] = job_result.backlog_curve
-            cell.blocks_mined += job_result.blocks_mined
-            cell.full_blocks_mined += job_result.full_blocks_mined
-            cell.total_fees_collected += job_result.total_fees_collected
-            cell.fee_evictions += job_result.fee_evictions
-            cell.capacity_drops += job_result.capacity_drops
-            cell.conflict_evictions += job_result.conflict_evictions
-            cell.events += job_result.events
-    return results
+    return {
+        cell_label(protocol, offered_tps): LoadCellResult(protocol, offered_tps, tuple(cells))
+        for (protocol, offered_tps), cells in grid
+    }

@@ -13,12 +13,12 @@ Run via ``python -m repro.experiments run overhead``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
@@ -30,19 +30,33 @@ OVERHEAD_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 #: Message commands attributed to topology construction / clustering control.
 CONTROL_COMMANDS = ("join", "join_accept", "cluster_members", "getaddr", "addr")
 
+#: The per-node topology-build costs each cell measures, in report order.
+PER_NODE_COSTS = (
+    "ping_messages_per_node",
+    "control_messages_per_node",
+    "control_bytes_per_node",
+    "handshake_messages_per_node",
+    "total_build_bytes_per_node",
+)
+
 
 @dataclass(frozen=True)
-class OverheadPoint:
-    """Control-plane cost and resulting delay for one protocol."""
+class OverheadPoint(SeedCells):
+    """Control-plane cost and resulting delay for one protocol: a view over
+    its per-seed :class:`OverheadJobResult` cells."""
 
     protocol: str
-    ping_messages_per_node: float
-    control_messages_per_node: float
-    control_bytes_per_node: float
-    handshake_messages_per_node: float
-    total_build_bytes_per_node: float
-    mean_delay_s: float
-    delay_variance_s2: float
+    cells: tuple["OverheadJobResult", ...]
+
+    def summary(self) -> dict[str, object]:
+        """Per-node costs averaged over the seeds, and the pooled Δt."""
+        delays = DelayDistribution(self.pooled("delay_samples")).summary()
+        return {
+            "protocol": self.protocol,
+            **{name: self.total(name) / len(self.cells) for name in PER_NODE_COSTS},
+            "mean_delay_s": delays["mean_s"],
+            "delay_variance_s2": delays["variance_s2"],
+        }
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,7 @@ class OverheadJob:
 
 @dataclass(frozen=True)
 class OverheadJobResult:
-    """Per-(protocol, seed) overhead counters merged by the overhead driver."""
+    """Per-(protocol, seed) overhead counters pooled by the overhead driver."""
 
     protocol: str
     seed: int
@@ -109,19 +123,14 @@ def build_report(points: list[OverheadPoint]) -> ExperimentReport:
         experiment_id="Ext-2",
         description="Topology-construction overhead vs propagation-delay benefit",
     )
-    rows = [
-        [
-            point.protocol,
-            point.ping_messages_per_node,
-            point.control_messages_per_node,
-            point.control_bytes_per_node,
-            point.handshake_messages_per_node,
-            point.total_build_bytes_per_node,
-            point.mean_delay_s * 1e3,
-            point.delay_variance_s2 * 1e6,
-        ]
-        for point in points
-    ]
+    rows = []
+    for point in points:
+        summary = point.summary()
+        rows.append(
+            [point.protocol]
+            + [summary[name] for name in PER_NODE_COSTS]
+            + [summary["mean_delay_s"] * 1e3, summary["delay_variance_s2"] * 1e6]
+        )
     report.add_section(
         "Per-node overhead (topology build) and resulting delay",
         format_table(
@@ -138,13 +147,12 @@ def build_report(points: list[OverheadPoint]) -> ExperimentReport:
             rows,
         ),
     )
-    report.add_data("points", points)
     return report
 
 
-def summarize(points: list[OverheadPoint]) -> dict[str, dict[str, float]]:
+def summarize(points: list[OverheadPoint]) -> dict[str, dict[str, object]]:
     """Per-protocol scalar summaries for the result envelope."""
-    return {point.protocol: asdict(point) for point in points}
+    return {point.protocol: point.summary() for point in points}
 
 
 @experiment(
@@ -183,29 +191,4 @@ def run_overhead(
         return OverheadJob(protocol=protocol, seed=seed, config=cfg)
 
     grid = run_seed_grid(protocols, make_job, run_overhead_seed, cfg)
-
-    points: list[OverheadPoint] = []
-    for protocol, seed_results in grid:
-        delays = DelayDistribution()
-        for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-        stats = delays.summary()
-        count = len(seed_results)
-        points.append(
-            OverheadPoint(
-                protocol=protocol,
-                ping_messages_per_node=sum(r.ping_messages_per_node for r in seed_results) / count,
-                control_messages_per_node=sum(r.control_messages_per_node for r in seed_results)
-                / count,
-                control_bytes_per_node=sum(r.control_bytes_per_node for r in seed_results) / count,
-                handshake_messages_per_node=sum(
-                    r.handshake_messages_per_node for r in seed_results
-                )
-                / count,
-                total_build_bytes_per_node=sum(r.total_build_bytes_per_node for r in seed_results)
-                / count,
-                mean_delay_s=stats["mean_s"],
-                delay_variance_s2=stats["variance_s2"],
-            )
-        )
-    return points
+    return [OverheadPoint(protocol, tuple(cells)) for protocol, cells in grid]

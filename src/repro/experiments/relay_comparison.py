@@ -27,7 +27,7 @@ the adaptation narrow the overlay's advantage
 (``adaptive_narrows_clustering_advantage``)?
 
 (relay, protocol, seed) campaigns are independent simulations; they fan out
-over the shared seed-grid executor and merge in submission order, so
+over the shared seed-grid executor and pool in submission order, so
 aggregates are identical for every worker count.
 
 Run from the command line::
@@ -39,14 +39,14 @@ Run from the command line::
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import BlockArrivalRecorder, SampleLog
 from repro.analysis.stats import mean
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.measurement.stats import DelayDistribution
 from repro.protocol.mining import MiningProcess, equal_hash_power
@@ -65,110 +65,55 @@ RELAY_PROTOCOLS = ("bitcoin", "lbc", "bcbpt")
 BLOCK_PAYLOAD_COMMANDS = ("block", "cmpctblock", "blocktxn")
 
 
-@dataclass
-class RelayComparisonResult:
+@dataclass(frozen=True)
+class RelayComparisonResult(SeedCells):
     """Pooled measurements for one (relay, protocol) pair.
 
-    Attributes:
-        relay: relay-strategy name.
-        protocol: policy label.
-        delays: block Δt samples pooled across seeds (miner excluded).
-        per_seed: block Δt distribution per master seed.
-        blocks_measured: blocks mined and tracked across all seeds.
-        relay_messages: protocol messages attributed to block propagation.
-        relay_bytes: bytes attributed to block propagation.
-        block_payload_bytes: bytes of the block-carrying commands only
-            (:data:`BLOCK_PAYLOAD_COMMANDS`).
-        message_breakdown: per-command message counts, summed across seeds.
-        coverages: per-block fraction of nodes reached within the horizon.
-        compact_blocks_reconstructed / compact_txs_requested /
-            compact_fallbacks / compact_txn_timeouts: compact-strategy work,
-            summed across nodes.
-        blocks_pushed: unsolicited full-block pushes (push strategy).
-        adaptive_fanout_widened / adaptive_fanout_narrowed: fan-out width
-            changes made by the adaptive strategy, summed across nodes.
-        mean_final_fanouts: per-seed mean effective fan-out width at the end
-            of the campaign (adaptive strategy only).
-        fanout_samples: pooled (time, width) fan-out change samples.
-        getheaders_sent / headers_received / header_bodies_requested:
-            headers-first sync work, summed across nodes.
+    A view over the pair's per-seed :class:`RelayJobResult` cells: block Δt
+    samples, message and byte tallies and strategy work counters are pooled
+    from ``cells`` where they are read.
     """
 
     relay: str
     protocol: str
-    delays: DelayDistribution = field(default_factory=DelayDistribution)
-    per_seed: dict[int, DelayDistribution] = field(default_factory=dict)
-    blocks_measured: int = 0
-    relay_messages: int = 0
-    relay_bytes: int = 0
-    block_payload_bytes: int = 0
-    message_breakdown: Counter = field(default_factory=Counter)
-    coverages: list[float] = field(default_factory=list)
-    compact_blocks_reconstructed: int = 0
-    compact_txs_requested: int = 0
-    compact_fallbacks: int = 0
-    compact_txn_timeouts: int = 0
-    blocks_pushed: int = 0
-    adaptive_fanout_widened: int = 0
-    adaptive_fanout_narrowed: int = 0
-    mean_final_fanouts: list[float] = field(default_factory=list)
-    fanout_samples: list[tuple[float, int]] = field(default_factory=list)
-    getheaders_sent: int = 0
-    headers_received: int = 0
-    header_bodies_requested: int = 0
+    cells: tuple["RelayJobResult", ...]
 
     @property
     def label(self) -> str:
         """The combined ``relay/protocol`` result key."""
         return f"{self.relay}/{self.protocol}"
 
-    def messages_per_block(self) -> float:
-        """Mean relay messages spent propagating one block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.relay_messages / self.blocks_measured
+    @property
+    def delays(self) -> DelayDistribution:
+        """Block Δt samples pooled across seeds (miner excluded)."""
+        return DelayDistribution(self.pooled("block_delay_samples"))
 
-    def bytes_per_block(self) -> float:
-        """Mean relay bytes spent propagating one block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.relay_bytes / self.blocks_measured
-
-    def block_payload_bytes_per_block(self) -> float:
-        """Mean bytes of block-carrying commands per block."""
-        if not self.blocks_measured:
-            return float("nan")
-        return self.block_payload_bytes / self.blocks_measured
-
-    def mean_coverage(self) -> float:
-        """Mean fraction of nodes reached per block within the horizon."""
-        if not self.coverages:
-            return 0.0
-        return mean(self.coverages)
-
-    def mean_final_fanout(self) -> float:
-        """Mean end-of-campaign fan-out width (adaptive strategy only)."""
-        if not self.mean_final_fanouts:
-            return float("nan")
-        return mean(self.mean_final_fanouts)
+    def per_block(self, name: str) -> float:
+        """Mean of one tally (e.g. ``"relay_messages"``) per measured block."""
+        blocks = self.total("blocks_measured")
+        return self.total(name) / blocks if blocks else float("nan")
 
     def summary(self) -> dict[str, float]:
         """Scalar summary for the result envelope."""
-        base = self.delays.summary() if len(self.delays) else {"count": 0.0}
+        delays = self.delays
         summary = {
-            **base,
-            "messages_per_block": self.messages_per_block(),
-            "bytes_per_block": self.bytes_per_block(),
-            "block_payload_bytes_per_block": self.block_payload_bytes_per_block(),
-            "mean_coverage": self.mean_coverage(),
+            **(delays.summary() if len(delays) else {"count": 0.0}),
+            "messages_per_block": self.per_block("relay_messages"),
+            "bytes_per_block": self.per_block("relay_bytes"),
+            "block_payload_bytes_per_block": self.per_block("block_payload_bytes"),
+            "mean_coverage": mean([cell.coverage for cell in self.cells]),
         }
         if self.relay == "adaptive":
-            summary["mean_final_fanout"] = self.mean_final_fanout()
-            summary["fanout_widened"] = float(self.adaptive_fanout_widened)
-            summary["fanout_narrowed"] = float(self.adaptive_fanout_narrowed)
+            summary["mean_final_fanout"] = mean(
+                [cell.mean_final_fanout for cell in self.cells]
+            )
+            summary["fanout_widened"] = float(self.total("adaptive_fanout_widened"))
+            summary["fanout_narrowed"] = float(self.total("adaptive_fanout_narrowed"))
         if self.relay == "headers":
-            summary["getheaders_sent"] = float(self.getheaders_sent)
-            summary["header_bodies_requested"] = float(self.header_bodies_requested)
+            summary["getheaders_sent"] = float(self.total("getheaders_sent"))
+            summary["header_bodies_requested"] = float(
+                self.total("header_bodies_requested")
+            )
         return summary
 
 
@@ -203,7 +148,7 @@ class RelayJob:
 
 @dataclass(frozen=True)
 class RelayJobResult:
-    """Per-(relay, protocol, seed) tallies merged by the relay driver."""
+    """Per-(relay, protocol, seed) tallies pooled by the relay driver."""
 
     relay: str
     protocol: str
@@ -360,169 +305,18 @@ def run_relay_seed(job: RelayJob) -> RelayJobResult:
 def collect_samples(results: dict[str, RelayComparisonResult]) -> SampleLog:
     """Raw block-propagation samples for the envelope's ``samples`` field.
 
-    One ``block_delay_s`` series per (relay/protocol, seed) — the merge's
-    insertion order, so the pooled concatenation is worker-count invariant —
-    plus the per-campaign ``coverage`` curve.
+    One ``block_delay_s`` series per (relay/protocol, seed) in seed order,
+    so the pooled concatenation is worker-count invariant — plus the
+    per-campaign ``coverage`` curve and the adaptive fan-out samples.
     """
     log = SampleLog()
     for key, result in results.items():
-        log.add_per_seed(
-            key,
-            "block_delay_s",
-            {seed: dist.samples for seed, dist in result.per_seed.items()},
-            unit="s",
-        )
-        for index, coverage in enumerate(result.coverages):
-            log.add_point(key, "coverage", float(index), coverage, unit="fraction")
-        for time_s, width in result.fanout_samples:
+        log.add_per_seed(key, "block_delay_s", result.by_seed("block_delay_samples"), unit="s")
+        for index, cell in enumerate(result.cells):
+            log.add_point(key, "coverage", float(index), cell.coverage, unit="fraction")
+        for time_s, width in result.pooled("fanout_samples"):
             log.add_point(key, "fanout_width", time_s, float(width), unit="peers")
     return log
-
-
-# ------------------------------------------------------------------- driver
-@experiment(
-    "relay_comparison",
-    experiment_id="Ext-7",
-    title="Block propagation and per-block overhead across relay strategies",
-    description=__doc__,
-    protocols=RELAY_PROTOCOLS,
-    options=(
-        ExperimentOption(
-            flag="--relays",
-            dest="relays",
-            type=str,
-            nargs="+",
-            help="relay strategies to sweep (default: flood compact push adaptive headers)",
-            convert=tuple,
-        ),
-        ExperimentOption(
-            flag="--protocols",
-            dest="protocols",
-            type=str,
-            nargs="+",
-            help="policies to cross with (default: bitcoin lbc bcbpt)",
-            convert=tuple,
-            is_protocols=True,
-        ),
-        ExperimentOption(
-            flag="--blocks",
-            dest="blocks",
-            type=int,
-            help="blocks mined per (relay, protocol, seed) campaign (default: 3)",
-        ),
-        ExperimentOption(
-            flag="--txs-per-block",
-            dest="txs_per_block",
-            type=int,
-            help="fresh transactions injected before each block (default: 8)",
-        ),
-        ExperimentOption(
-            flag="--block-horizon",
-            dest="block_horizon_s",
-            type=float,
-            help="simulated seconds allowed per block to reach every node (default: 30)",
-        ),
-    ),
-    report=lambda results: build_report(results),
-    summarize=lambda results: {key: result.summary() for key, result in results.items()},
-    collect_samples=collect_samples,
-    verdicts={
-        "compact_fewer_messages_per_block": lambda results: compact_beats_flood(
-            results, lambda r: r.messages_per_block()
-        ),
-        "compact_faster_block_propagation": lambda results: compact_beats_flood(
-            results, lambda r: r.delays.mean() if len(r.delays) else float("inf")
-        ),
-        "clustering_beats_vanilla_under_adaptive": lambda results: (
-            clustering_beats_vanilla_under_adaptive(results)
-        ),
-        "adaptive_narrows_clustering_advantage": lambda results: (
-            adaptive_narrows_clustering_advantage(results)
-        ),
-    },
-    exit_verdict="compact_fewer_messages_per_block",
-)
-def run_relay_comparison(
-    config: Optional[ExperimentConfig] = None,
-    *,
-    relays: Sequence[str] = RELAY_SWEEP,
-    protocols: Sequence[str] = RELAY_PROTOCOLS,
-    blocks: int = 3,
-    txs_per_block: int = 8,
-    block_horizon_s: float = 30.0,
-) -> dict[str, RelayComparisonResult]:
-    """Cross relay strategies with policies and pool results per pair.
-
-    Args:
-        config: shared experiment configuration.
-        relays: relay-strategy names (validated against
-            :data:`~repro.protocol.relay.RELAY_NAMES`).
-        protocols: policy names to cross with.
-        blocks: blocks mined per campaign.
-        txs_per_block: transactions injected before each block.
-        block_horizon_s: per-block propagation horizon in simulated seconds.
-
-    Returns:
-        ``"relay/protocol"`` -> pooled :class:`RelayComparisonResult`.
-    """
-    cfg = config if config is not None else ExperimentConfig()
-    if blocks <= 0:
-        raise ValueError("blocks must be positive")
-    if txs_per_block < 0:
-        raise ValueError("txs_per_block cannot be negative")
-    if block_horizon_s <= 0:
-        raise ValueError("block_horizon_s must be positive")
-    for relay in relays:
-        validate_relay_name(relay)
-
-    points = [(relay, protocol) for relay in relays for protocol in protocols]
-
-    def make_job(point: tuple[str, str], seed: int) -> RelayJob:
-        relay, protocol = point
-        return RelayJob(
-            relay=relay,
-            protocol=protocol,
-            seed=seed,
-            blocks=blocks,
-            txs_per_block=txs_per_block,
-            block_horizon_s=block_horizon_s,
-            threshold_s=cfg.latency_threshold_s,
-            config=cfg,
-        )
-
-    grid = run_seed_grid(points, make_job, run_relay_seed, cfg)
-
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, RelayComparisonResult] = {}
-    for (relay, protocol), seed_results in grid:
-        key = f"{relay}/{protocol}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = RelayComparisonResult(relay=relay, protocol=protocol)
-        for seed, job_result in zip(cfg.seeds, seed_results):
-            seed_delays = DelayDistribution(list(job_result.block_delay_samples))
-            pooled.delays = pooled.delays.merge(seed_delays)
-            pooled.per_seed[seed] = seed_delays
-            pooled.blocks_measured += job_result.blocks_measured
-            pooled.relay_messages += job_result.relay_messages
-            pooled.relay_bytes += job_result.relay_bytes
-            pooled.block_payload_bytes += job_result.block_payload_bytes
-            pooled.message_breakdown.update(job_result.message_breakdown)
-            pooled.coverages.append(job_result.coverage)
-            pooled.compact_blocks_reconstructed += job_result.compact_blocks_reconstructed
-            pooled.compact_txs_requested += job_result.compact_txs_requested
-            pooled.compact_fallbacks += job_result.compact_fallbacks
-            pooled.compact_txn_timeouts += job_result.compact_txn_timeouts
-            pooled.blocks_pushed += job_result.blocks_pushed
-            pooled.adaptive_fanout_widened += job_result.adaptive_fanout_widened
-            pooled.adaptive_fanout_narrowed += job_result.adaptive_fanout_narrowed
-            if relay == "adaptive":
-                pooled.mean_final_fanouts.append(job_result.mean_final_fanout)
-            pooled.fanout_samples.extend(job_result.fanout_samples)
-            pooled.getheaders_sent += job_result.getheaders_sent
-            pooled.headers_received += job_result.headers_received
-            pooled.header_bodies_requested += job_result.header_bodies_requested
-    return results
 
 
 def _pair_mean_delay(results: dict[str, RelayComparisonResult], key: str) -> float:
@@ -601,18 +395,17 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
         experiment_id="Ext-7",
         description="Block propagation and per-block overhead by relay strategy",
     )
-    delay_rows = []
-    for key, result in results.items():
-        summary = result.delays.summary() if len(result.delays) else {}
-        delay_rows.append(
-            [
-                key,
-                len(result.delays),
-                summary.get("mean_s", float("nan")) * 1e3,
-                summary.get("variance_s2", float("nan")) * 1e6,
-                result.mean_coverage(),
-            ]
-        )
+    summaries = {key: result.summary() for key, result in results.items()}
+    delay_rows = [
+        [
+            key,
+            int(summary["count"]),
+            summary.get("mean_s", float("nan")) * 1e3,
+            summary.get("variance_s2", float("nan")) * 1e6,
+            summary["mean_coverage"],
+        ]
+        for key, summary in summaries.items()
+    ]
     report.add_section(
         "Block Δt by relay strategy (ms / ms²)",
         format_table(
@@ -622,10 +415,10 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     overhead_rows = [
         [
             key,
-            result.blocks_measured,
-            result.messages_per_block(),
-            result.bytes_per_block() / 1e3,
-            result.block_payload_bytes_per_block() / 1e3,
+            result.total("blocks_measured"),
+            summaries[key]["messages_per_block"],
+            summaries[key]["bytes_per_block"] / 1e3,
+            summaries[key]["block_payload_bytes_per_block"] / 1e3,
         ]
         for key, result in results.items()
     ]
@@ -637,13 +430,16 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
         ),
     )
     strategy_rows = [
-        [
-            key,
-            result.compact_blocks_reconstructed,
-            result.compact_txs_requested,
-            result.compact_fallbacks,
-            result.compact_txn_timeouts,
-            result.blocks_pushed,
+        [key]
+        + [
+            result.total(name)
+            for name in (
+                "compact_blocks_reconstructed",
+                "compact_txs_requested",
+                "compact_fallbacks",
+                "compact_txn_timeouts",
+                "blocks_pushed",
+            )
         ]
         for key, result in results.items()
         if result.relay in ("compact", "push")
@@ -666,9 +462,9 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
     adaptive_rows = [
         [
             key,
-            result.adaptive_fanout_widened,
-            result.adaptive_fanout_narrowed,
-            result.mean_final_fanout(),
+            result.total("adaptive_fanout_widened"),
+            result.total("adaptive_fanout_narrowed"),
+            summaries[key]["mean_final_fanout"],
         ]
         for key, result in results.items()
         if result.relay == "adaptive"
@@ -682,11 +478,10 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
             ),
         )
     headers_rows = [
-        [
-            key,
-            result.getheaders_sent,
-            result.headers_received,
-            result.header_bodies_requested,
+        [key]
+        + [
+            result.total(name)
+            for name in ("getheaders_sent", "headers_received", "header_bodies_requested")
         ]
         for key, result in results.items()
         if result.relay == "headers"
@@ -699,6 +494,117 @@ def build_report(results: dict[str, RelayComparisonResult]) -> ExperimentReport:
                 headers_rows,
             ),
         )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
     return report
+
+
+# ------------------------------------------------------------------- driver
+@experiment(
+    "relay_comparison",
+    experiment_id="Ext-7",
+    title="Block propagation and per-block overhead across relay strategies",
+    description=__doc__,
+    protocols=RELAY_PROTOCOLS,
+    options=(
+        ExperimentOption(
+            flag="--relays",
+            dest="relays",
+            type=str,
+            nargs="+",
+            help="relay strategies to sweep (default: flood compact push adaptive headers)",
+            convert=tuple,
+        ),
+        ExperimentOption(
+            flag="--protocols",
+            dest="protocols",
+            type=str,
+            nargs="+",
+            help="policies to cross with (default: bitcoin lbc bcbpt)",
+            convert=tuple,
+            is_protocols=True,
+        ),
+        ExperimentOption(
+            flag="--blocks",
+            dest="blocks",
+            type=int,
+            help="blocks mined per (relay, protocol, seed) campaign (default: 3)",
+        ),
+        ExperimentOption(
+            flag="--txs-per-block",
+            dest="txs_per_block",
+            type=int,
+            help="fresh transactions injected before each block (default: 8)",
+        ),
+        ExperimentOption(
+            flag="--block-horizon",
+            dest="block_horizon_s",
+            type=float,
+            help="simulated seconds allowed per block to reach every node (default: 30)",
+        ),
+    ),
+    report=build_report,
+    collect_samples=collect_samples,
+    verdicts={
+        "compact_fewer_messages_per_block": lambda results: compact_beats_flood(
+            results, lambda r: r.per_block("relay_messages")
+        ),
+        "compact_faster_block_propagation": lambda results: compact_beats_flood(
+            results, lambda r: r.delays.mean() if len(r.delays) else float("inf")
+        ),
+        "clustering_beats_vanilla_under_adaptive": clustering_beats_vanilla_under_adaptive,
+        "adaptive_narrows_clustering_advantage": adaptive_narrows_clustering_advantage,
+    },
+    exit_verdict="compact_fewer_messages_per_block",
+)
+def run_relay_comparison(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    relays: Sequence[str] = RELAY_SWEEP,
+    protocols: Sequence[str] = RELAY_PROTOCOLS,
+    blocks: int = 3,
+    txs_per_block: int = 8,
+    block_horizon_s: float = 30.0,
+) -> dict[str, RelayComparisonResult]:
+    """Cross relay strategies with policies and pool results per pair.
+
+    Args:
+        config: shared experiment configuration.
+        relays: relay-strategy names (validated against
+            :data:`~repro.protocol.relay.RELAY_NAMES`).
+        protocols: policy names to cross with.
+        blocks: blocks mined per campaign.
+        txs_per_block: transactions injected before each block.
+        block_horizon_s: per-block propagation horizon in simulated seconds.
+
+    Returns:
+        ``"relay/protocol"`` -> pooled :class:`RelayComparisonResult`.
+    """
+    cfg = config if config is not None else ExperimentConfig()
+    if blocks <= 0:
+        raise ValueError("blocks must be positive")
+    if txs_per_block < 0:
+        raise ValueError("txs_per_block cannot be negative")
+    if block_horizon_s <= 0:
+        raise ValueError("block_horizon_s must be positive")
+    for relay in relays:
+        validate_relay_name(relay)
+
+    points = [(relay, protocol) for relay in relays for protocol in protocols]
+
+    def make_job(point: tuple[str, str], seed: int) -> RelayJob:
+        relay, protocol = point
+        return RelayJob(
+            relay=relay,
+            protocol=protocol,
+            seed=seed,
+            blocks=blocks,
+            txs_per_block=txs_per_block,
+            block_horizon_s=block_horizon_s,
+            threshold_s=cfg.latency_threshold_s,
+            config=cfg,
+        )
+
+    grid = run_seed_grid(points, make_job, run_relay_seed, cfg)
+    return {
+        f"{relay}/{protocol}": RelayComparisonResult(relay, protocol, tuple(cells))
+        for (relay, protocol), cells in grid
+    }

@@ -83,7 +83,7 @@ class ExperimentResult:
 
     Attributes:
         experiment: registry name (``"fig3"``, ``"churn_resilience"``, ...).
-        experiment_id: the DESIGN.md index id (``"Fig. 3"``, ``"Ext-6"``).
+        experiment_id: the experiment's index id (``"Fig. 3"``, ``"Ext-6"``).
         title: one-line human description of the experiment.
         created_at: POSIX timestamp of the run.
         config: :class:`~repro.experiments.config.ExperimentConfig` provenance

@@ -33,14 +33,14 @@ import resource
 import tempfile
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.samples import SampleLog
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.backends import current_plan
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.protocol.node import NodeConfig
@@ -108,7 +108,7 @@ class ScaleJob:
 
 @dataclass(frozen=True)
 class ScaleJobResult:
-    """Per-cell resource measurements merged by the scale driver."""
+    """Per-cell resource measurements pooled by the scale driver."""
 
     node_count: int
     protocol: str
@@ -194,13 +194,14 @@ def default_ladder(node_count: int) -> tuple[int, ...]:
     return tuple(sorted(rungs))
 
 
-@dataclass
-class ScaleResult:
-    """Pooled scale measurements for one (protocol, node count) pair."""
+@dataclass(frozen=True)
+class ScaleResult(SeedCells):
+    """Pooled scale measurements for one (protocol, node count) pair: a view
+    over its per-seed :class:`ScaleJobResult` cells."""
 
     protocol: str
     node_count: int
-    cells: list[ScaleJobResult] = field(default_factory=list)
+    cells: tuple[ScaleJobResult, ...]
 
     @property
     def label(self) -> str:
@@ -218,14 +219,12 @@ class ScaleResult:
             "mean_build_s": self.mean([c.build_s for c in self.cells]),
             "mean_run_s": self.mean([c.run_s for c in self.cells]),
             "mean_wall_s": self.mean([c.wall_s for c in self.cells]),
-            "total_events": float(sum(c.events for c in self.cells)),
+            "total_events": float(self.total("events")),
             "mean_events_per_s": self.mean([c.events_per_s for c in self.cells]),
             "max_peak_traced_mb": max(peaks) if peaks else float("nan"),
             "max_rss_mb": max((c.rss_mb for c in self.cells), default=float("nan")),
-            "state_prunes": float(sum(c.state_prunes for c in self.cells)),
-            "pruned_inventory_entries": float(
-                sum(c.pruned_inventory_entries for c in self.cells)
-            ),
+            "state_prunes": float(self.total("state_prunes")),
+            "pruned_inventory_entries": float(self.total("pruned_inventory_entries")),
         }
 
 
@@ -312,8 +311,6 @@ def build_report(results: dict[str, ScaleResult]) -> ExperimentReport:
             "In-run pruning",
             format_table(["protocol", "nodes", "sweeps", "entries pruned"], prune_rows),
         )
-    report.add_data("summaries", {key: r.summary() for key, r in results.items()})
-    report.add_data("results", results)
     return report
 
 
@@ -362,7 +359,6 @@ def build_report(results: dict[str, ScaleResult]) -> ExperimentReport:
         ),
     ),
     report=build_report,
-    summarize=lambda results: {key: r.summary() for key, r in results.items()},
     collect_samples=collect_samples,
     verdicts={"all_cells_completed": all_cells_completed},
     exit_verdict="all_cells_completed",
@@ -453,12 +449,7 @@ def run_scale(
 
         grid = run_seed_grid(points, make_job, run_scale_seed, cfg)
 
-    # Merge in submission order — identical aggregates for every worker count.
-    results: dict[str, ScaleResult] = {}
-    for (rung, protocol), seed_results in grid:
-        key = f"{protocol}@{rung}"
-        pooled = results.get(key)
-        if pooled is None:
-            pooled = results[key] = ScaleResult(protocol=protocol, node_count=rung)
-        pooled.cells.extend(seed_results)
-    return results
+    return {
+        f"{protocol}@{rung}": ScaleResult(protocol, rung, tuple(cells))
+        for (rung, protocol), cells in grid
+    }

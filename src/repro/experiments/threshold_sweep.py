@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.api import ExperimentOption, experiment
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.grid import run_seed_grid
+from repro.experiments.grid import SeedCells, run_seed_grid
 from repro.experiments.reporting import ExperimentReport, format_table
 from repro.experiments.runner import PropagationExperiment
 from repro.measurement.stats import DelayDistribution
@@ -30,18 +30,33 @@ DEFAULT_THRESHOLDS_S = (0.010, 0.025, 0.030, 0.050, 0.075, 0.100, 0.150, 0.200)
 
 
 @dataclass(frozen=True)
-class ThresholdPoint:
-    """Measurements for one threshold value."""
+class ThresholdPoint(SeedCells):
+    """Measurements for one threshold value: a view over its per-seed
+    :class:`ThresholdJobResult` cells."""
 
     threshold_s: float
-    mean_delay_s: float
-    median_delay_s: float
-    variance_s2: float
-    p90_delay_s: float
-    cluster_count: float
-    mean_cluster_size: float
-    mean_link_rtt_s: float
-    long_link_fraction: float
+    cells: tuple["ThresholdJobResult", ...]
+
+    def summary(self) -> dict[str, float]:
+        """The pooled Δt statistics and the across-seed cluster/link means
+        (link figures are NaN when no seed's overlay has a link)."""
+        delays = DelayDistribution(self.pooled("delay_samples")).summary()
+
+        def seed_mean(name: str) -> float:
+            values = [getattr(c, name) for c in self.cells if getattr(c, name) is not None]
+            return sum(values) / len(values) if values else float("nan")
+
+        return {
+            "threshold_s": self.threshold_s,
+            "mean_delay_s": delays["mean_s"],
+            "median_delay_s": delays["median_s"],
+            "variance_s2": delays["variance_s2"],
+            "p90_delay_s": delays["p90_s"],
+            "cluster_count": seed_mean("cluster_count"),
+            "mean_cluster_size": seed_mean("mean_cluster_size"),
+            "mean_link_rtt_s": seed_mean("mean_link_rtt_s"),
+            "long_link_fraction": seed_mean("long_link_fraction"),
+        }
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,7 @@ class ThresholdJob:
 
 @dataclass(frozen=True)
 class ThresholdJobResult:
-    """Per-(threshold, seed) measurements merged by the sweep driver."""
+    """Per-(threshold, seed) measurements pooled by the sweep driver."""
 
     threshold_s: float
     seed: int
@@ -102,20 +117,22 @@ def build_report(points: list[ThresholdPoint]) -> ExperimentReport:
         experiment_id="Ext-1",
         description="Fine-grained BCBPT latency-threshold sweep",
     )
-    rows = [
-        [
-            f"{point.threshold_s * 1000:.0f} ms",
-            point.mean_delay_s * 1e3,
-            point.median_delay_s * 1e3,
-            point.variance_s2 * 1e6,
-            point.p90_delay_s * 1e3,
-            point.cluster_count,
-            point.mean_cluster_size,
-            point.mean_link_rtt_s * 1e3,
-            point.long_link_fraction,
-        ]
-        for point in points
-    ]
+    rows = []
+    for point in points:
+        summary = point.summary()
+        rows.append(
+            [
+                f"{point.threshold_s * 1000:.0f} ms",
+                summary["mean_delay_s"] * 1e3,
+                summary["median_delay_s"] * 1e3,
+                summary["variance_s2"] * 1e6,
+                summary["p90_delay_s"] * 1e3,
+                summary["cluster_count"],
+                summary["mean_cluster_size"],
+                summary["mean_link_rtt_s"] * 1e3,
+                summary["long_link_fraction"],
+            ]
+        )
     report.add_section(
         "Threshold sweep",
         format_table(
@@ -133,15 +150,12 @@ def build_report(points: list[ThresholdPoint]) -> ExperimentReport:
             rows,
         ),
     )
-    report.add_data("points", points)
     return report
 
 
 def summarize(points: list[ThresholdPoint]) -> dict[str, dict[str, float]]:
     """Per-threshold scalar summaries for the result envelope."""
-    from dataclasses import asdict
-
-    return {f"{point.threshold_s * 1000:g}ms": asdict(point) for point in points}
+    return {f"{point.threshold_s * 1000:g}ms": point.summary() for point in points}
 
 
 @experiment(
@@ -182,36 +196,4 @@ def run_threshold_sweep(
         return ThresholdJob(threshold_s=threshold, seed=seed, config=cfg)
 
     grid = run_seed_grid(thresholds_s, make_job, run_threshold_seed, cfg)
-
-    points: list[ThresholdPoint] = []
-    for threshold, seed_results in grid:
-        delays = DelayDistribution()
-        cluster_counts: list[float] = []
-        cluster_sizes: list[float] = []
-        link_rtts: list[float] = []
-        long_fractions: list[float] = []
-        for seed_result in seed_results:
-            delays.extend(seed_result.delay_samples)
-            cluster_counts.append(seed_result.cluster_count)
-            cluster_sizes.append(seed_result.mean_cluster_size)
-            if seed_result.mean_link_rtt_s is not None:
-                link_rtts.append(seed_result.mean_link_rtt_s)
-            if seed_result.long_link_fraction is not None:
-                long_fractions.append(seed_result.long_link_fraction)
-        stats = delays.summary()
-        points.append(
-            ThresholdPoint(
-                threshold_s=threshold,
-                mean_delay_s=stats["mean_s"],
-                median_delay_s=stats["median_s"],
-                variance_s2=stats["variance_s2"],
-                p90_delay_s=stats["p90_s"],
-                cluster_count=sum(cluster_counts) / len(cluster_counts),
-                mean_cluster_size=sum(cluster_sizes) / len(cluster_sizes),
-                mean_link_rtt_s=sum(link_rtts) / len(link_rtts) if link_rtts else float("nan"),
-                long_link_fraction=(
-                    sum(long_fractions) / len(long_fractions) if long_fractions else float("nan")
-                ),
-            )
-        )
-    return points
+    return [ThresholdPoint(threshold, tuple(cells)) for threshold, cells in grid]

@@ -56,8 +56,8 @@ class LatencyParameters:
             per second.  Defaults to 1 MB/s, a conservative 2016 broadband
             uplink.  (The paper quotes "~100 KB/hour", which is a typo — at
             that rate a single 32-byte ping would take more than a second to
-            serialise; we keep the parameter configurable and document the
-            substitution in DESIGN.md.)
+            serialise; we keep the parameter configurable and substitute a
+            plausible rate.)
         signal_speed_m_s: ``S`` in Eq. (3); defaults to wired 2/3 c.
         ping_arrival_rate_per_s: ``lambda`` in Eq. (4), how many pings per
             second arrive at the receiving node.

@@ -3,7 +3,7 @@
 Implements the pieces of the Bitcoin system the paper's evaluation depends on:
 
 * :mod:`repro.protocol.crypto` — keypairs, addresses and signatures (a
-  deterministic SHA-256 stand-in for ECDSA; see DESIGN.md substitutions);
+  deterministic SHA-256 stand-in for ECDSA);
 * :mod:`repro.protocol.transaction` — transactions with inputs/outputs;
 * :mod:`repro.protocol.utxo` — the unspent-output ledger;
 * :mod:`repro.protocol.block` / :mod:`repro.protocol.blockchain` — blocks and

@@ -19,14 +19,14 @@ class TestVerificationAblation:
         points = run_verification_ablation(SMALL)
         assert [p.variant for p in points] == ["verify-then-relay", "pipelined-relay"]
         for point in points:
-            assert point.mean_delay_s > 0
-            assert point.variance_s2 >= 0
+            assert point.summary()["mean_delay_s"] > 0
+            assert point.summary()["variance_s2"] >= 0
 
     def test_pipelining_is_not_slower(self):
-        points = {p.variant: p for p in run_verification_ablation(SMALL)}
+        points = {p.variant: p.summary() for p in run_verification_ablation(SMALL)}
         assert (
-            points["pipelined-relay"].mean_delay_s
-            <= points["verify-then-relay"].mean_delay_s * 1.05
+            points["pipelined-relay"]["mean_delay_s"]
+            <= points["verify-then-relay"]["mean_delay_s"] * 1.05
         )
 
 
@@ -36,8 +36,8 @@ class TestLongLinkAblation:
         assert [p.variant for p in points] == ["long-links=0", "long-links=3"]
 
     def test_more_long_links_raise_degree(self):
-        points = {p.variant: p for p in run_long_link_ablation(SMALL, counts=(0, 3))}
-        assert points["long-links=3"].average_degree > points["long-links=0"].average_degree
+        points = {p.variant: p.summary() for p in run_long_link_ablation(SMALL, counts=(0, 3))}
+        assert points["long-links=3"]["average_degree"] > points["long-links=0"]["average_degree"]
 
 
 class TestAblationReport:

@@ -93,11 +93,6 @@ class TestExperimentReport:
         assert text.index("first") < text.index("second")
         assert "X: desc" in text
 
-    def test_data_attachment(self):
-        report = ExperimentReport("X", "desc")
-        report.add_data("key", [1, 2, 3])
-        assert report.data["key"] == [1, 2, 3]
-
     def test_str_matches_render(self):
         report = ExperimentReport("X", "desc")
         assert str(report) == report.render()

@@ -10,7 +10,9 @@ The headline guarantees, exercised end-to-end on a small fig3 sweep:
   `repro shard merge` reassemble the exact single-machine envelope;
 * **result-store robustness** — two processes saving simultaneously never
   collide on a run directory, and the sqlite provenance index answers
-  `--where`-style parameter queries over everything stored.
+  `--where`-style parameter queries over everything stored;
+* **duplicate sweep points** — every driver rejects a repeated point before
+  any cell runs, instead of pooling (or overwriting) the same cells twice.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import multiprocessing
 import pytest
 
 from repro.experiments import cli
+from repro.experiments.ablation import run_long_link_ablation
 from repro.experiments.api import run_experiment
-from repro.experiments.backends import ExecutionPlan, GridIncomplete
+from repro.experiments.backends import ExecutionPlan, GridIncomplete, use_plan
 from repro.experiments.checkpoint import CellStore
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import (
@@ -53,6 +56,40 @@ def _canonical(result: ExperimentResult) -> str:
     # The canonical form must have masked every wall-clock field.
     assert '"duration_s"' not in text
     return text
+
+
+def _ablation_with_repeated_count(config: ExperimentConfig, plan: ExecutionPlan):
+    # Ablation variants carry a dict of knobs, so the points are unhashable.
+    with use_plan(plan):
+        return run_long_link_ablation(config, counts=(2, 2))
+
+
+#: One repeated sweep point per driver (fig4 goes through ``runner``).
+DUPLICATE_POINT_RUNS = {
+    name: lambda config, plan, name=name, options=options: run_experiment(
+        name, config, options, plan=plan
+    )
+    for name, options in {
+        "fig4": {"thresholds_ms": (30.0, 30.0)},
+        "threshold_sweep": {"thresholds_ms": (25.0, 25.0)},
+        "overhead": {"protocols": ("bcbpt", "bcbpt")},
+        "attacks": {"protocols": ("bitcoin", "bitcoin")},
+        "doublespend": {"protocols": ("lbc", "lbc")},
+        "churn_resilience": {"protocols": ("bcbpt", "bcbpt")},
+        "relay_comparison": {"relays": ("flood", "flood")},
+        "load_frontier": {"rates": (1.0, 1.0)},
+        "scale": {"node_counts": (20, 20), "protocols": ("bitcoin",)},
+    }.items()
+}
+DUPLICATE_POINT_RUNS["ablation"] = _ablation_with_repeated_count
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATE_POINT_RUNS))
+def test_duplicate_sweep_point_rejected_before_any_cell_runs(name):
+    plan = ExecutionPlan()
+    with pytest.raises(ValueError, match="duplicate sweep point"):
+        DUPLICATE_POINT_RUNS[name](SMALL, plan)
+    assert plan.cells_executed == 0
 
 
 class TestKillAndResume:

@@ -81,7 +81,6 @@ class TestFig3:
         text = report.render()
         assert "Fig. 3" in text
         assert "bitcoin" in text and "bcbpt" in text
-        assert "summaries" in report.data
 
     def test_bitcoin_is_slowest_even_at_small_scale(self):
         results = run_fig3(SMALL)
@@ -94,6 +93,16 @@ class TestFig3:
 class TestFig4:
     def test_threshold_labels(self):
         assert threshold_labels([0.03, 0.1]) == ["bcbpt@30ms", "bcbpt@100ms"]
+
+    def test_fractional_thresholds_are_not_rounded(self):
+        """Labels keep fractional thresholds: rounding would run 25.5 ms as
+        26 ms and pool 30 and 30.4 ms under one label."""
+        assert threshold_labels([0.0255, 0.0245]) == ["bcbpt@25.5ms", "bcbpt@24.5ms"]
+        config = SMALL.with_overrides(runs=1, fig4_thresholds_s=(0.030, 0.0304))
+        results = run_fig4(config)
+        assert list(results) == ["bcbpt@30ms", "bcbpt@30.4ms"]
+        single = run_fig4(config.with_overrides(fig4_thresholds_s=(0.0304,)))
+        assert results["bcbpt@30.4ms"].delays.samples == single["bcbpt@30.4ms"].delays.samples
 
     def test_runs_and_reports(self):
         config = SMALL.with_overrides(fig4_thresholds_s=(0.030, 0.100))
@@ -113,7 +122,7 @@ class TestThresholdSweep:
         assert len(points) == 2
         assert points[0].threshold_s == pytest.approx(0.02)
         # Smaller threshold -> at least as many clusters.
-        assert points[0].cluster_count >= points[1].cluster_count
+        assert points[0].summary()["cluster_count"] >= points[1].summary()["cluster_count"]
         report = sweep_report(points)
         assert "Ext-1" in report.render()
 
@@ -121,10 +130,10 @@ class TestThresholdSweep:
 class TestOverhead:
     def test_bcbpt_pays_ping_overhead_bitcoin_does_not(self):
         points = run_overhead(SMALL.with_overrides(runs=1, measuring_nodes=1))
-        by_name = {p.protocol: p for p in points}
-        assert by_name["bitcoin"].ping_messages_per_node == 0
-        assert by_name["bcbpt"].ping_messages_per_node > 0
-        assert by_name["bcbpt"].control_messages_per_node > 0
+        by_name = {p.protocol: p.summary() for p in points}
+        assert by_name["bitcoin"]["ping_messages_per_node"] == 0
+        assert by_name["bcbpt"]["ping_messages_per_node"] > 0
+        assert by_name["bcbpt"]["control_messages_per_node"] > 0
         report = overhead_report(points)
         assert "Ext-2" in report.render()
 
@@ -133,22 +142,22 @@ class TestAttacks:
     def test_eclipse_results(self):
         results = run_eclipse(SMALL, adversary_fraction=0.2)
         assert len(results) == 3
-        for result in results:
-            assert 0.0 <= result.eclipsed_fraction <= 1.0
-        clustered = {r.protocol: r.eclipsed_fraction for r in results}
+        clustered = {r.protocol: r.summary()["eclipsed_fraction"] for r in results}
+        for fraction in clustered.values():
+            assert 0.0 <= fraction <= 1.0
         # Proximity clustering concentrates the victim's connections among
         # nearby (adversarial) peers at least as much as random selection.
         assert clustered["bcbpt"] >= clustered["bitcoin"] * 0.5
 
     def test_partition_results(self):
         results = run_partition(SMALL)
-        by_name = {r.protocol: r for r in results}
-        for result in results:
-            assert result.boundary_links >= 0
-            assert 0.0 < result.largest_component_fraction <= 1.0
+        by_name = {r.protocol: r.summary() for r in results}
+        for summary in by_name.values():
+            assert summary["boundary_links"] >= 0
+            assert 0.0 < summary["largest_component_fraction"] <= 1.0
         # Severing a cluster boundary is cheaper (fewer links) than severing a
         # comparable region boundary in the random topology.
-        assert by_name["bcbpt"].boundary_fraction <= by_name["bitcoin"].boundary_fraction * 1.5
+        assert by_name["bcbpt"]["boundary_fraction"] <= by_name["bitcoin"]["boundary_fraction"] * 1.5
         report = attacks_report(run_eclipse(SMALL), results)
         assert "Ext-3" in report.render()
 
@@ -161,10 +170,10 @@ class TestDoubleSpend:
     def test_races_produce_outcomes(self):
         points = run_doublespend(SMALL, races_per_seed=2, race_horizon_s=1.0)
         assert len(points) == 3
-        for point in points:
-            assert point.races == 2
-            assert 0.0 <= point.mean_attacker_share <= 1.0
-            assert 0.0 <= point.detection_rate <= 1.0
+        for summary in (point.summary() for point in points):
+            assert summary["races"] == 2
+            assert 0.0 <= summary["mean_attacker_share"] <= 1.0
+            assert 0.0 <= summary["detection_rate"] <= 1.0
         report = ds_report(points)
         assert "Ext-4" in report.render()
 

@@ -89,22 +89,23 @@ class TestDriver:
         }
         assert set(tiny_results) == expected_keys
         for cell in tiny_results.values():
-            assert cell.seeds == list(TINY.seeds)
-            assert cell.txs_generated > 0
-            assert cell.txs_confirmed > 0
-            assert cell.blocks_mined > 0
-            assert cell.events > 0
-            assert cell.total_fees_collected > 0
-            assert set(cell.p50_by_seed) == set(TINY.seeds)
-            assert cell.p99_latency_s() >= cell.p50_latency_s() - 1e-9
+            assert [c.seed for c in cell.cells] == list(TINY.seeds)
+            assert cell.total("txs_generated") > 0
+            assert cell.total("txs_confirmed") > 0
+            assert cell.total("blocks_mined") > 0
+            assert cell.total("events") > 0
+            assert cell.total("total_fees_collected") > 0
+            assert set(cell.by_seed("confirmation_p50_s")) == set(TINY.seeds)
+            summary = cell.summary()
+            assert summary["confirmation_p99_s"] >= summary["confirmation_p50_s"] - 1e-9
 
     def test_congestion_raises_latency_and_fills_blocks(self, tiny_results):
         for protocol in ("bitcoin", "bcbpt"):
-            light = tiny_results[cell_label(protocol, 1.0)]
-            heavy = tiny_results[cell_label(protocol, 6.0)]
-            assert heavy.full_block_fraction() > light.full_block_fraction()
-            assert heavy.backlog_final() > light.backlog_final()
-            assert heavy.p99_latency_s() > light.p99_latency_s()
+            light = tiny_results[cell_label(protocol, 1.0)].summary()
+            heavy = tiny_results[cell_label(protocol, 6.0)].summary()
+            assert heavy["full_block_fraction"] > light["full_block_fraction"]
+            assert heavy["backlog_final"] > light["backlog_final"]
+            assert heavy["confirmation_p99_s"] > light["confirmation_p99_s"]
 
     def test_saturation_detected_at_the_congested_rate(self, tiny_results):
         for protocol in ("bitcoin", "bcbpt"):
@@ -125,7 +126,7 @@ class TestDriver:
             per_seed = log.per_seed(key, "confirmation_p50_s")
             assert set(per_seed) == set(TINY.seeds)
             for seed, values in per_seed.items():
-                assert values == [cell.p50_by_seed[seed]]
+                assert values == [cell.by_seed("confirmation_p50_s")[seed]]
             assert log.points(key, "mempool_backlog")
 
 

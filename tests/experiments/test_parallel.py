@@ -50,12 +50,12 @@ class TestWorkerCountInvariance:
             QUICK.with_overrides(workers=4), races_per_seed=2, race_horizon_s=1.0
         )
         assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a.protocol == b.protocol
-            assert a.races == b.races
-            assert a.mean_attacker_share == b.mean_attacker_share
-            assert a.detection_rate == b.detection_rate
-            if math.isnan(a.mean_detection_time_s):
-                assert math.isnan(b.mean_detection_time_s)
+        for a, b in zip((p.summary() for p in serial), (p.summary() for p in parallel)):
+            assert a["protocol"] == b["protocol"]
+            assert a["races"] == b["races"]
+            assert a["mean_attacker_share"] == b["mean_attacker_share"]
+            assert a["detection_rate"] == b["detection_rate"]
+            if math.isnan(a["mean_detection_time_s"]):
+                assert math.isnan(b["mean_detection_time_s"])
             else:
-                assert a.mean_detection_time_s == b.mean_detection_time_s
+                assert a["mean_detection_time_s"] == b["mean_detection_time_s"]

@@ -71,12 +71,12 @@ class TestRelayComparisonExperiment:
         )
         assert set(results) == {"flood/bitcoin", "compact/bitcoin"}
         for result in results.values():
-            assert result.blocks_measured == 1
-            assert result.mean_coverage() == 1.0
+            assert result.total("blocks_measured") == 1
+            assert result.summary()["mean_coverage"] == 1.0
             assert len(result.delays) == SMALL.node_count - 1
         assert (
-            results["compact/bitcoin"].messages_per_block()
-            < results["flood/bitcoin"].messages_per_block()
+            results["compact/bitcoin"].per_block("relay_messages")
+            < results["flood/bitcoin"].per_block("relay_messages")
         )
         report = build_report(results)
         text = report.render()
@@ -90,8 +90,8 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].relay_messages == parallel[key].relay_messages
-            assert serial[key].relay_bytes == parallel[key].relay_bytes
+            assert serial[key].total("relay_messages") == parallel[key].total("relay_messages")
+            assert serial[key].total("relay_bytes") == parallel[key].total("relay_bytes")
 
     def test_envelope_and_verdicts(self):
         run = run_experiment(
@@ -138,11 +138,11 @@ class TestRelayComparisonExperiment:
         )
         assert set(results) == {f"{relay}/bitcoin" for relay in RELAY_SWEEP}
         for result in results.values():
-            assert result.mean_coverage() == 1.0
+            assert result.summary()["mean_coverage"] == 1.0
             assert len(result.delays) == SMALL.node_count - 1
         headers = results["headers/bitcoin"]
-        assert headers.message_breakdown["headers"] > 0
-        assert headers.header_bodies_requested > 0
+        assert sum(cell.message_breakdown.get("headers", 0) for cell in headers.cells) > 0
+        assert headers.total("header_bodies_requested") > 0
         adaptive = results["adaptive/bitcoin"]
         assert adaptive.summary()["mean_final_fanout"] > 0
         report = build_report(results).render()
@@ -174,7 +174,6 @@ class TestRelayComparisonExperiment:
         parallel = run_relay_comparison(SMALL.with_overrides(workers=2), **kwargs)
         for key in serial:
             assert serial[key].delays.samples == parallel[key].delays.samples
-            assert serial[key].relay_messages == parallel[key].relay_messages
-            assert serial[key].relay_bytes == parallel[key].relay_bytes
-            assert serial[key].fanout_samples == parallel[key].fanout_samples
-            assert serial[key].getheaders_sent == parallel[key].getheaders_sent
+            for name in ("relay_messages", "relay_bytes", "getheaders_sent"):
+                assert serial[key].total(name) == parallel[key].total(name)
+            assert serial[key].pooled("fanout_samples") == parallel[key].pooled("fanout_samples")

@@ -39,20 +39,19 @@ class TestJsonSafe:
         assert json_safe({"a": (1, 2), "b": {3, 1}}) == {"a": [1, 2], "b": [1, 3]}
 
     def test_dataclasses_become_dicts(self):
-        from repro.experiments.threshold_sweep import ThresholdPoint
+        from repro.experiments.threshold_sweep import ThresholdJobResult
 
-        point = ThresholdPoint(
+        cell = ThresholdJobResult(
             threshold_s=0.025,
-            mean_delay_s=0.02,
-            median_delay_s=0.02,
-            variance_s2=1e-4,
-            p90_delay_s=0.03,
+            seed=3,
+            delay_samples=(0.02, 0.03),
             cluster_count=5.0,
             mean_cluster_size=4.0,
             mean_link_rtt_s=0.07,
             long_link_fraction=0.5,
         )
-        assert json_safe(point)["threshold_s"] == 0.025
+        assert json_safe(cell)["threshold_s"] == 0.025
+        assert json_safe(cell)["delay_samples"] == [0.02, 0.03]
 
     def test_unserialisable_objects_fall_back_to_repr(self):
         class Opaque:

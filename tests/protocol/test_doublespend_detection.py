@@ -14,7 +14,11 @@ import math
 
 import pytest
 
-from repro.experiments.doublespend import DoubleSpendPoint, mean_detection_time_s
+from repro.experiments.doublespend import (
+    DoubleSpendJobResult,
+    DoubleSpendPoint,
+    mean_detection_time_s,
+)
 from repro.protocol.doublespend import DoubleSpendAttacker, merchant_detection, tally_first_seen
 from repro.protocol.messages import GetDataMessage, InventoryType, TxMessage
 from repro.protocol.node import NodeConfig
@@ -195,13 +199,23 @@ class TestDetectionAggregation:
     def test_mean_detection_time_nan_on_zero_detections(self):
         assert math.isnan(mean_detection_time_s([]))
 
-    def test_point_accepts_nan_detection_time(self):
-        point = DoubleSpendPoint(
+    @staticmethod
+    def _cell(races: int) -> DoubleSpendJobResult:
+        return DoubleSpendJobResult(
             protocol="bitcoin",
-            races=4,
-            mean_attacker_share=0.5,
-            mean_detection_time_s=mean_detection_time_s([]),
-            detection_rate=0.0,
+            seed=3,
+            races=races,
+            attacker_shares=(0.5,) * races,
+            detections=0,
+            detection_times_s=(),
         )
-        assert math.isnan(point.mean_detection_time_s)
-        assert point.detection_rate == 0.0
+
+    def test_point_accepts_nan_detection_time(self):
+        summary = DoubleSpendPoint("bitcoin", (self._cell(4),)).summary()
+        assert math.isnan(summary["mean_detection_time_s"])
+        assert summary["detection_rate"] == 0.0
+        assert summary["mean_attacker_share"] == 0.5
+
+    def test_point_needs_a_race(self):
+        with pytest.raises(ValueError, match="at least one race"):
+            DoubleSpendPoint("bitcoin", (self._cell(0),))
