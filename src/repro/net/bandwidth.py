@@ -85,9 +85,3 @@ class BandwidthModel:
         sender = self.assign(sender_id)
         receiver = self.assign(receiver_id)
         return min(sender.uplink_bps, receiver.downlink_bps)
-
-    def transmission_delay_s(self, sender_id: int, receiver_id: int, size_bytes: float) -> float:
-        """Time to serialise ``size_bytes`` over the bottleneck rate."""
-        if size_bytes < 0:
-            raise ValueError(f"message size cannot be negative, got {size_bytes}")
-        return size_bytes / self.effective_rate_bps(sender_id, receiver_id)

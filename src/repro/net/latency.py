@@ -291,14 +291,17 @@ class LatencyModel:
             return bool(self._pair_flags[self._pair_index(node_a, node_b)] & _PAIR_FILLED)
         return self._pair_key(node_a, node_b) in self._routing
 
-    def _path_km_for(
+    def routed_path_km(
         self,
         node_a: int,
         position_a: GeoPosition,
         node_b: int,
         position_b: GeoPosition,
     ) -> float:
-        """Cached routed path length between two positioned nodes."""
+        """Cached routed path length between two positioned nodes.
+
+        Draws the pair's routing from the stream on its first touch.
+        """
         if self._pair_path_km is not None:
             index = self._pair_index(node_a, node_b)
             if self._pair_flags[index] & _PAIR_FILLED:
@@ -338,7 +341,7 @@ class LatencyModel:
         position_b: GeoPosition,
     ) -> float:
         """Deterministic Eq. (2) round-trip time for a node pair in seconds."""
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
+        distance_km = self.routed_path_km(node_a, position_a, node_b, position_b)
         rtt = (
             self.transmission_delay_s()
             + 2.0 * self.propagation_delay_s(distance_km)
@@ -354,16 +357,11 @@ class LatencyModel:
         position_b: GeoPosition,
     ) -> LatencySample:
         """One stochastic ping measurement between two nodes."""
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
+        distance_km = self.routed_path_km(node_a, position_a, node_b, position_b)
         transmission = self.transmission_delay_s()
         propagation = self.propagation_delay_s(distance_km)
         queuing = self.queuing_delay_s()
-        if self.parameters.congestion_jitter_sigma > 0:
-            jitter = float(
-                self._rng.lognormal(mean=0.0, sigma=self.parameters.congestion_jitter_sigma)
-            )
-        else:
-            jitter = 1.0
+        jitter = self.jitter_factor()
         rtt = max(
             self.parameters.minimum_rtt_s,
             (transmission + 2.0 * propagation + queuing) * jitter,
@@ -396,7 +394,7 @@ class LatencyModel:
         """
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
+        distance_km = self.routed_path_km(node_a, position_a, node_b, position_b)
         base = (
             self.transmission_delay_s()
             + 2.0 * self.propagation_delay_s(distance_km)
@@ -409,41 +407,12 @@ class LatencyModel:
         factors = self._rng.lognormal(mean=0.0, sigma=sigma, size=count)
         return [max(minimum, base * float(factor)) for factor in factors]
 
-    def one_way_delay_s(
-        self,
-        node_a: int,
-        position_a: GeoPosition,
-        node_b: int,
-        position_b: GeoPosition,
-        message_bytes: float,
-        *,
-        jittered: bool = True,
-        jitter_factor: Optional[float] = None,
-    ) -> float:
-        """Delivery delay for a single message of ``message_bytes`` from a to b.
-
-        Used by the link layer for every protocol message (INV, GETDATA, TX,
-        ...): transmission for the actual message size, one propagation leg,
-        one queuing term, and optional congestion jitter.
-
-        Args:
-            jitter_factor: pre-drawn congestion jitter multiplier (from
-                :meth:`jitter_factors`); when None, one factor is drawn from
-                the model's stream here.
-        """
-        distance_km = self._path_km_for(node_a, position_a, node_b, position_b)
-        delay = (
-            self.transmission_delay_s(message_bytes)
-            + self.propagation_delay_s(distance_km)
-            + self._queuing_s
-        )
-        if jittered and self.parameters.congestion_jitter_sigma > 0:
-            if jitter_factor is None:
-                jitter_factor = float(
-                    self._rng.lognormal(mean=0.0, sigma=self.parameters.congestion_jitter_sigma)
-                )
-            delay *= jitter_factor
-        return max(self.parameters.minimum_rtt_s / 2.0, delay)
+    def jitter_factor(self) -> float:
+        """Draw one congestion jitter factor (1.0, drawing nothing, when jitter is off)."""
+        sigma = self.parameters.congestion_jitter_sigma
+        if sigma > 0:
+            return float(self._rng.lognormal(0.0, sigma))  # (mean, sigma)
+        return 1.0
 
     def jitter_factors(self, count: int) -> Optional[np.ndarray]:
         """Draw ``count`` congestion jitter factors in one batched call.
@@ -452,7 +421,7 @@ class LatencyModel:
         exactly like the same number of scalar draws, so — provided no other
         draw on this stream interleaves (callers guarantee that by checking
         :meth:`routing_cached` for every pair first) — the batch is
-        bit-identical to ``count`` sequential per-message draws.
+        bit-identical to ``count`` sequential :meth:`jitter_factor` draws.
 
         Returns:
             The factors, or None when jitter is disabled (no draws consumed).

@@ -10,11 +10,17 @@ delay of an individual protocol message across a link, combining:
 * one-way propagation over the pair's detour-adjusted physical distance;
 * receiver queuing (Eq. 4);
 * log-normal congestion jitter.
+
+One quirk is kept bit-for-bit because the fig3 goldens depend on it: jitter
+multiplies the *flat-rate* transmission term ``size / transmission_rate_bps``;
+with a bandwidth model that unjittered flat term is then subtracted and the
+bottleneck term ``size / rate`` added, so the bottleneck term is never jittered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.bandwidth import BandwidthModel
@@ -73,6 +79,13 @@ class Link:
 class LinkDelayCalculator:
     """Computes message delivery delays across links.
 
+    Positions, routing and access classes are fixed for a run, so each
+    directed link keeps one record ``(propagation_s, bottleneck_rate_bps or
+    None)``, filled on its first message in this order: path resolution
+    (which may draw the pair's routing from the latency stream), then
+    ``assign(sender)`` and ``assign(receiver)`` on the bandwidth model's own
+    stream.  A later message costs one lookup; only its jitter draws.
+
     Args:
         latency_model: pairwise latency model (Eq. 2-4 + jitter + detours).
         bandwidth_model: optional per-node bandwidth model; when provided, the
@@ -87,6 +100,13 @@ class LinkDelayCalculator:
     ) -> None:
         self._latency = latency_model
         self._bandwidth = bandwidth_model
+        parameters = latency_model.parameters
+        self._rate_bps = parameters.transmission_rate_bps
+        self._queuing_s = latency_model.queuing_delay_s()
+        self._floor_s = parameters.minimum_rtt_s / 2.0
+        self._jittered = parameters.congestion_jitter_sigma > 0
+        #: ``_links[sender][receiver]``: the directed link's record.
+        self._links: defaultdict[int, dict[int, tuple[float, Optional[float]]]] = defaultdict(dict)
 
     def message_delay_s(
         self,
@@ -111,40 +131,53 @@ class LinkDelayCalculator:
                 batched broadcast path; None draws per-message as usual.
         """
         size = size_bytes if size_bytes is not None else message_size_bytes(command, payload)
-        delay = self._latency.one_way_delay_s(
-            sender_id,
-            sender_position,
-            receiver_id,
-            receiver_position,
-            message_bytes=size,
-            jittered=jittered,
-            jitter_factor=jitter_factor,
-        )
-        if self._bandwidth is not None:
-            # Replace the flat-rate transmission term with the bottleneck rate.
-            flat_transmission = self._latency.transmission_delay_s(size)
-            bottleneck_transmission = self._bandwidth.transmission_delay_s(
-                sender_id, receiver_id, size
-            )
-            delay = max(
-                self._latency.parameters.minimum_rtt_s / 2.0,
-                delay - flat_transmission + bottleneck_transmission,
-            )
-        return delay
+        records = self._links[sender_id]
+        record = records.get(receiver_id)
+        if record is None:
+            latency, bandwidth = self._latency, self._bandwidth
+            km = latency.routed_path_km(sender_id, sender_position, receiver_id, receiver_position)
+            rate = None
+            if bandwidth is not None:
+                rate = bandwidth.effective_rate_bps(sender_id, receiver_id)
+            record = records[receiver_id] = (latency.propagation_delay_s(km), rate)
+        propagation_s, rate_bps = record
+        transmission_s = size / self._rate_bps
+        delay = (transmission_s + propagation_s) + self._queuing_s
+        if jittered and self._jittered:
+            if jitter_factor is None:
+                jitter_factor = self._latency.jitter_factor()
+            delay *= jitter_factor
+        # ``x if x > floor else floor`` is ``max(floor, x)`` without the call.
+        floor_s = self._floor_s
+        if not delay > floor_s:
+            delay = floor_s
+        if rate_bps is None:
+            return delay
+        delay = (delay - transmission_s) + size / rate_bps
+        return delay if delay > floor_s else floor_s
 
     def can_batch_jitter(self, sender_id: int, receiver_ids: list[int]) -> bool:
         """Whether jitter for sends to all ``receiver_ids`` may be batch-drawn.
 
-        True only when every pair's persistent routing is already cached, so
+        True only when every pair's persistent routing is already drawn, so
         the batched draw consumes the latency stream exactly like sequential
         per-message draws would (see :meth:`LatencyModel.jitter_factors`).
+        A record implies a routed pair, so only receivers without one ask the
+        latency model.  "Every link has a record" would be a different rule:
+        a byzantine sender's suppressed copy skips its per-message draw but
+        not its slot in a batch.
         """
+        records = self._links[sender_id]
         routing_cached = self._latency.routing_cached
-        return all(routing_cached(sender_id, receiver) for receiver in receiver_ids)
+        for receiver_id in receiver_ids:
+            if receiver_id not in records and not routing_cached(sender_id, receiver_id):
+                return False
+        return True
 
-    def jitter_factors(self, count: int):
+    def jitter_factors(self, count: int) -> Optional[list[float]]:
         """Batch-draw ``count`` congestion jitter factors (None if disabled)."""
-        return self._latency.jitter_factors(count)
+        factors = self._latency.jitter_factors(count)
+        return None if factors is None else factors.tolist()
 
     def ping_rtt_s(
         self,

@@ -19,6 +19,8 @@ way a TCP connection reset would surface to the Bitcoin application layer.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
+from itertools import repeat
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.net.geo import GeoPosition
@@ -225,62 +227,70 @@ class P2PNetwork:
         if not self.topology.are_connected(sender_id, receiver_id):
             self.messages_dropped += 1
             return False
-        self._send_prechecked(sender_id, receiver_id, message)
+        self._send_prechecked(sender_id, [receiver_id], message)
         return True
 
     def _send_prechecked(
         self,
         sender_id: int,
-        receiver_id: int,
+        receiver_ids: "list[int]",
         message: Message,
-        jitter_factor: Optional[float] = None,
+        jitter_factors: Optional["list[float]"] = None,
     ) -> None:
-        """Compute the delay, account the traffic and schedule the delivery.
+        """Compute the delays, account the traffic and schedule one copy per receiver.
 
         Connectivity/online checks are the caller's responsibility.  This is
         the single choke point every send funnels through (``send``,
         ``broadcast``/``multicast`` via ``_fanout``), which is where the
         adversary plane hooks in: a sender's installed
-        :class:`~repro.protocol.adversary.ByzantineBehavior` may suppress the
-        message (no accounting, no delivery) or stretch its delay.  Batched
-        congestion-jitter factors are drawn by the *caller*, before this
-        filter runs, so byzantine drops never shift an honest stream's draw
-        sequence.
+        :class:`~repro.protocol.adversary.ByzantineBehavior` may suppress a
+        copy (no accounting, no delivery) or stretch its delay.  Batched
+        congestion-jitter factors (one per receiver) are drawn by the
+        *caller*, before this filter runs, so byzantine drops never shift an
+        honest stream's draw sequence.  The message is sized and labelled
+        once for all its copies.
         """
-        extra_delay_s = 0.0
-        if self._behaviors:
-            behavior = self._behaviors.get(sender_id)
+        behavior = self._behaviors.get(sender_id) if self._behaviors else None
+        command = message.command
+        size = message_size_bytes(command, message.wire_payload())
+        label = f"deliver:{command}"
+        positions = self._positions
+        sender_position = positions[sender_id]
+        message_delay_s = self.delays.message_delay_s
+        schedule = self.simulator.schedule
+        deliver = self._deliver
+        factors = repeat(None) if jitter_factors is None else jitter_factors
+        sent = 0
+        for receiver_id, factor in zip(receiver_ids, factors):
+            extra_delay_s = 0.0
             if behavior is not None:
                 decision = behavior.filter_send(receiver_id, message, self.simulator.now)
                 if decision.drop:
                     self.messages_suppressed += 1
-                    return
+                    continue
                 extra_delay_s = decision.extra_delay_s
-        command = message.command
-        size = message_size_bytes(command, message.wire_payload())
-        delay = extra_delay_s + self.delays.message_delay_s(
-            sender_id,
-            self._positions[sender_id],
-            receiver_id,
-            self._positions[receiver_id],
-            command,
-            size_bytes=size,
-            jitter_factor=jitter_factor,
-        )
-        self.messages_sent[command] += 1
-        self.bytes_sent[command] += size
-        self.simulator.schedule(
-            delay,
-            lambda: self._deliver(sender_id, receiver_id, message),
-            label=f"deliver:{command}",
-        )
+            delay = extra_delay_s + message_delay_s(
+                sender_id,
+                sender_position,
+                receiver_id,
+                positions[receiver_id],
+                command,
+                size_bytes=size,
+                jitter_factor=factor,
+            )
+            schedule(delay, partial(deliver, sender_id, receiver_id, message), label=label)
+            sent += 1
+        if sent:
+            self.messages_sent[command] += sent
+            self.bytes_sent[command] += sent * size
 
     def broadcast(self, sender_id: int, message: Message, *, exclude: Optional[set[int]] = None) -> int:
         """Send ``message`` to every neighbour of ``sender_id``.
 
-        When every destination pair's routing is already known, the congestion
-        jitter for all copies is drawn in one batched call (bit-identical to
-        the per-message draws — see :meth:`LatencyModel.jitter_factors`).
+        When every destination pair's routing is already drawn, the
+        congestion jitter for all copies is drawn in one batched call
+        (bit-identical to the per-message draws — see
+        :meth:`LinkDelayCalculator.can_batch_jitter`).
 
         Returns:
             Number of copies scheduled.
@@ -333,23 +343,17 @@ class P2PNetwork:
     def _fanout(self, sender_id: int, eligible: "list[int]", message: Message) -> int:
         """Schedule one copy per eligible peer, batching jitter draws.
 
-        When every destination pair's routing is already known, the congestion
-        jitter for all copies is drawn in one batched call (bit-identical to
-        the per-message draws — see :meth:`LatencyModel.jitter_factors`).
+        When every destination pair's routing is already drawn, the
+        congestion jitter for all copies is drawn in one batched call
+        (bit-identical to the per-message draws — see
+        :meth:`LinkDelayCalculator.can_batch_jitter`).
         """
         if not eligible:
             return 0
+        factors = None
         if len(eligible) > 1 and self.delays.can_batch_jitter(sender_id, eligible):
             factors = self.delays.jitter_factors(len(eligible))
-            if factors is None:
-                for peer in eligible:
-                    self._send_prechecked(sender_id, peer, message)
-            else:
-                for peer, factor in zip(eligible, factors):
-                    self._send_prechecked(sender_id, peer, message, jitter_factor=factor)
-        else:
-            for peer in eligible:
-                self._send_prechecked(sender_id, peer, message)
+        self._send_prechecked(sender_id, eligible, message, factors)
         return len(eligible)
 
     def _deliver(self, sender_id: int, receiver_id: int, message: Message) -> None:

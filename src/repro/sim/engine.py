@@ -25,6 +25,8 @@ from repro.sim.process import Process, ProcessExit, Timeout, WaitEvent
 from repro.sim.rng import RandomService
 from repro.sim.trace import Tracer
 
+_INFINITY = float("inf")
+
 
 class StopSimulation(Exception):
     """Raised by a callback or process to stop the run immediately."""
@@ -80,10 +82,20 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
         label: str = "",
     ) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, priority=priority, label=label)
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        Raises:
+            ValueError: if ``delay`` is negative, infinite or NaN.
+        """
+        if not 0.0 <= delay < _INFINITY:
+            raise ValueError(
+                f"cannot schedule an event in the past or never (delay={delay})"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(float(self.clock.now + delay), int(priority), sequence, callback, label)
+        heapq.heappush(self._heap, (event.time, event.priority, sequence, event))
+        return EventHandle(event)
 
     def schedule_at(
         self,
@@ -93,20 +105,20 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
         label: str = "",
     ) -> EventHandle:
-        """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if time < self.now:
+        """Schedule ``callback`` to run at absolute simulated time ``time``.
+
+        Raises:
+            ValueError: if ``time`` is before now, infinite or NaN.
+        """
+        if not self.clock.now <= time < _INFINITY:
             raise ValueError(
-                f"cannot schedule an event in the past: now={self.now}, requested={time}"
+                f"cannot schedule an event in the past or never: now={self.now}, "
+                f"requested={time}"
             )
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            sequence=self._sequence,
-            callback=callback,
-            label=label,
-        )
-        self._sequence += 1
-        heapq.heappush(self._heap, (event.time, event.priority, event.sequence, event))
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(float(time), int(priority), sequence, callback, label)
+        heapq.heappush(self._heap, (event.time, event.priority, sequence, event))
         return EventHandle(event)
 
     def call_soon(self, callback: Callable[[], Any], *, label: str = "") -> EventHandle:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.net.geo import GeoPosition
 from repro.net.latency import LatencyModel, LatencyParameters, SIGNAL_SPEED_WIRED_M_S
+from repro.net.link import LinkDelayCalculator
 
 
 LONDON = GeoPosition(51.51, -0.13, "uk", "GB")
@@ -17,6 +18,13 @@ TOKYO = GeoPosition(35.68, 139.69, "japan", "JP")
 def make_model(seed=1, **overrides):
     params = LatencyParameters(**overrides) if overrides else LatencyParameters()
     return LatencyModel(np.random.default_rng(seed), params)
+
+
+def make_calculator(array_backed=False, seed=1, **overrides):
+    """Per-message delays over a dict- or array-backed model of nodes 0 and 1."""
+    params = LatencyParameters(**overrides) if overrides else LatencyParameters()
+    node_count = 2 if array_backed else None
+    return LinkDelayCalculator(LatencyModel(np.random.default_rng(seed), params, node_count))
 
 
 class TestParameters:
@@ -134,15 +142,17 @@ class TestSampling:
         ) * sample.jitter_factor
         assert sample.rtt_s == pytest.approx(max(reconstructed, model.parameters.minimum_rtt_s))
 
-    def test_one_way_delay_scales_with_message_size(self):
-        model = make_model(congestion_jitter_sigma=0.0)
-        small = model.one_way_delay_s(0, LONDON, 1, PARIS, message_bytes=100, jittered=False)
-        large = model.one_way_delay_s(0, LONDON, 1, PARIS, message_bytes=1_000_000, jittered=False)
+    @pytest.mark.parametrize("array_backed", [False, True])
+    def test_one_way_delay_scales_with_message_size(self, array_backed):
+        calc = make_calculator(array_backed, congestion_jitter_sigma=0.0)
+        small = calc.message_delay_s(0, LONDON, 1, PARIS, "tx", 100, jittered=False)
+        large = calc.message_delay_s(0, LONDON, 1, PARIS, "block", 1_000_000, jittered=False)
         assert large > small
 
-    def test_one_way_delay_positive(self):
-        model = make_model()
-        assert model.one_way_delay_s(0, LONDON, 1, PARIS, message_bytes=100) > 0
+    @pytest.mark.parametrize("array_backed", [False, True])
+    def test_one_way_delay_positive(self, array_backed):
+        calc = make_calculator(array_backed)
+        assert calc.message_delay_s(0, LONDON, 1, PARIS, "tx", 100) > 0
 
 
 class TestDetours:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.net.geo import GeoModel
 from repro.net.latency import LatencyModel, LatencyParameters
+from repro.net.link import LinkDelayCalculator
 
 
 def sample_positions(count, seed=11):
@@ -69,6 +70,8 @@ class TestBackendEquivalence:
         n = 12
         positions = sample_positions(n)
         dict_model, array_model = make_pair(node_count=n)
+        dict_links = LinkDelayCalculator(dict_model)
+        array_links = LinkDelayCalculator(array_model)
         rng = np.random.default_rng(99)  # drives the workload, not the models
 
         for _ in range(300):
@@ -91,9 +94,9 @@ class TestBackendEquivalence:
                     a, positions[a], b, positions[b], count
                 ) == array_model.sample_rtts(a, positions[a], b, positions[b], count)
             else:
-                assert dict_model.one_way_delay_s(
-                    a, positions[a], b, positions[b], 345.0
-                ) == array_model.one_way_delay_s(a, positions[a], b, positions[b], 345.0)
+                assert dict_links.message_delay_s(
+                    a, positions[a], b, positions[b], "tx", 345
+                ) == array_links.message_delay_s(a, positions[a], b, positions[b], "tx", 345)
 
     def test_resolved_paths_match_dict_mode(self):
         n = 10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.bandwidth import AccessClass, BandwidthModel
-from repro.net.geo import GeoPosition
+from repro.net.geo import GeoModel, GeoPosition
 from repro.net.latency import LatencyModel, LatencyParameters
 from repro.net.link import Link, LinkDelayCalculator
 from repro.net.message import (
@@ -112,14 +112,20 @@ class TestBandwidthModel:
         assert model.effective_rate_bps(1, 2) == pytest.approx(100.0)
 
     def test_transmission_delay(self, rng):
+        # The link layer swaps the flat-rate transmission term for the
+        # bottleneck one: 500 bytes at 1000 B/s take 0.5 s.
         classes = (AccessClass("c", uplink_bps=1000.0, downlink_bps=1000.0, weight=1.0),)
-        model = BandwidthModel(rng, classes=classes)
-        assert model.transmission_delay_s(1, 2, 500.0) == pytest.approx(0.5)
-
-    def test_negative_size_rejected(self, rng):
-        model = BandwidthModel(rng)
-        with pytest.raises(ValueError):
-            model.transmission_delay_s(1, 2, -1.0)
+        params = LatencyParameters(congestion_jitter_sigma=0.0)
+        flat = LinkDelayCalculator(LatencyModel(np.random.default_rng(3), params))
+        bottleneck = LinkDelayCalculator(
+            LatencyModel(np.random.default_rng(3), params), BandwidthModel(rng, classes=classes)
+        )
+        size = 500
+        expected = flat.message_delay_s(0, LONDON, 1, PARIS, "tx", size_bytes=size) + (
+            0.5 - size / params.transmission_rate_bps
+        )
+        actual = bottleneck.message_delay_s(0, LONDON, 1, PARIS, "tx", size_bytes=size)
+        assert actual == pytest.approx(expected)
 
     def test_empty_class_list_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -201,3 +207,122 @@ class TestLinkDelayCalculator:
         rtt = calc.base_rtt_s(0, LONDON, 1, PARIS)
         assert delay < rtt
         assert delay > rtt / 4
+
+
+def parent_delay(latency, latency_rng, bandwidth, sender, receiver, positions, size, factor):
+    """The per-message composition the link records must reproduce, written out.
+
+    One-way delay over the pair's routed path with the flat-rate transmission
+    term, jittered and floored; then, with a bandwidth model, the flat term is
+    swapped for the bottleneck term and the result floored again.
+    """
+    params = latency.parameters
+    floor = params.minimum_rtt_s / 2.0
+    path_km = latency.routed_path_km(sender, positions[sender], receiver, positions[receiver])
+    flat = size / params.transmission_rate_bps
+    delay = flat + (path_km * 1000.0) / params.signal_speed_m_s + latency.queuing_delay_s()
+    if params.congestion_jitter_sigma > 0:
+        if factor is None:
+            factor = float(latency_rng.lognormal(mean=0.0, sigma=params.congestion_jitter_sigma))
+        delay *= factor
+    delay = max(floor, delay)
+    if bandwidth is not None:
+        up = bandwidth.assign(sender).uplink_bps
+        down = bandwidth.assign(receiver).downlink_bps
+        delay = max(floor, delay - flat + size / min(up, down))
+    return delay
+
+
+class TestLinkRecordStreamExactness:
+    """Per-link delay records reproduce the per-message composition bit for bit.
+
+    Two identically seeded worlds run one interleaved workload: the
+    :class:`LinkDelayCalculator` on one side, :func:`parent_delay` with the
+    fan-out rule "batch the jitter draws once every destination pair's routing
+    is drawn" on the other.  Pings draw some pairs' routing before their first
+    message.  Every delay and both generators' final states must match.
+    """
+
+    @pytest.mark.parametrize("jitter_sigma", [0.0, 0.15])
+    @pytest.mark.parametrize("with_bandwidth", [False, True])
+    @pytest.mark.parametrize("array_backed", [False, True])
+    def test_records_match_composition(self, array_backed, with_bandwidth, jitter_sigma):
+        n = 10
+        positions = GeoModel(np.random.default_rng(11)).sample_positions(n)
+        params = LatencyParameters(congestion_jitter_sigma=jitter_sigma)
+        node_count = n if array_backed else None
+
+        def world():
+            latency_rng, bandwidth_rng = np.random.default_rng(3), np.random.default_rng(4)
+            latency = LatencyModel(latency_rng, params, node_count)
+            bandwidth = BandwidthModel(bandwidth_rng) if with_bandwidth else None
+            return latency_rng, bandwidth_rng, latency, bandwidth
+
+        new_latency_rng, new_bandwidth_rng, new_latency, new_bandwidth = world()
+        calc = LinkDelayCalculator(new_latency, new_bandwidth)
+        old_latency_rng, old_bandwidth_rng, old_latency, old_bandwidth = world()
+        routed: set[frozenset[int]] = set()
+        workload = np.random.default_rng(99)  # drives the workload, not the models
+        seen = {
+            "first-touch": 0,
+            "repeated": 0,
+            "batched": 0,
+            "batched-without-record": 0,
+            "per-message": 0,
+        }
+
+        def send(sender, receiver, size, new_factor=None, old_factor=None):
+            seen["repeated" if receiver in calc._links[sender] else "first-touch"] += 1
+            new = calc.message_delay_s(
+                sender, positions[sender], receiver, positions[receiver], "tx",
+                size_bytes=size, jitter_factor=new_factor,
+            )
+            old = parent_delay(
+                old_latency, old_latency_rng, old_bandwidth,
+                sender, receiver, positions, size, old_factor,
+            )
+            routed.add(frozenset((sender, receiver)))
+            assert new == old
+
+        for _ in range(400):
+            op = int(workload.integers(0, 4))
+            sender = int(workload.integers(0, n))
+            others = [peer for peer in range(n) if peer != sender]
+            size = int(workload.integers(61, 5_000))
+            if op == 0:  # one message
+                seen["per-message"] += 1
+                send(sender, int(workload.choice(others)), size)
+            elif op == 1:  # a ping round on a pair, drawing routing before any message
+                receiver = int(workload.choice(others))
+                count = int(workload.integers(1, 4))
+                assert calc.ping_rtts_s(
+                    sender, positions[sender], receiver, positions[receiver], count
+                ) == old_latency.sample_rtts(
+                    sender, positions[sender], receiver, positions[receiver], count
+                )
+                routed.add(frozenset((sender, receiver)))
+            else:  # a fan-out
+                width = int(workload.integers(2, 5))
+                peers = [int(p) for p in workload.choice(others, size=width, replace=False)]
+                new_batch = calc.can_batch_jitter(sender, peers)
+                new_factors = calc.jitter_factors(width) if new_batch else None
+                old_batch = all(frozenset((sender, peer)) in routed for peer in peers)
+                # The same rule, not merely the same draws: a byzantine sender
+                # suppressing a copy makes batched and per-message differ.
+                assert new_batch == old_batch
+                if new_batch and any(peer not in calc._links[sender] for peer in peers):
+                    seen["batched-without-record"] += 1
+                old_factors = None
+                if old_batch and jitter_sigma > 0:
+                    old_factors = old_latency_rng.lognormal(mean=0.0, sigma=jitter_sigma, size=width)
+                seen["batched" if new_batch else "per-message"] += 1
+                for index, peer in enumerate(peers):
+                    send(
+                        sender, peer, size,
+                        None if new_factors is None else new_factors[index],
+                        None if old_factors is None else old_factors[index],
+                    )
+
+        assert new_latency_rng.bit_generator.state == old_latency_rng.bit_generator.state
+        assert new_bandwidth_rng.bit_generator.state == old_bandwidth_rng.bit_generator.state
+        assert min(seen.values()) > 0, seen

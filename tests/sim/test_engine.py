@@ -45,6 +45,29 @@ class TestScheduling:
         with pytest.raises(ValueError):
             simulator.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delay_rejected(self, simulator, delay):
+        # A NaN delay used to compare false against every check, fire before
+        # finite events and set the clock to NaN.
+        with pytest.raises(ValueError):
+            simulator.schedule(delay, lambda: None)
+        assert simulator.pending_events == 0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, simulator, time):
+        with pytest.raises(ValueError):
+            simulator.schedule_at(time, lambda: None)
+        assert simulator.pending_events == 0
+
+    def test_nan_delay_never_disturbs_the_clock(self, simulator):
+        seen = []
+        with pytest.raises(ValueError):
+            simulator.schedule(float("nan"), lambda: seen.append(simulator.now))
+        simulator.schedule(0.5, lambda: seen.append(simulator.now))
+        simulator.run()
+        assert seen == [0.5]
+        assert simulator.now == 0.5
+
     def test_call_soon_runs_at_current_time(self, simulator):
         times = []
         simulator.schedule(2.0, lambda: simulator.call_soon(lambda: times.append(simulator.now)))
